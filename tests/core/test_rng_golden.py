@@ -225,3 +225,52 @@ def test_model_edge_digests_frozen():
         gen = ALL_MODELS[key](scale=8, edge_factor=4, seed=42)
         assert edge_digest(gen.generate()) == expected, \
             f"model {key!r} output drifted for (scale=8, ef=4, seed=42)"
+
+
+# -- multi-round top-up freeze -----------------------------------------
+
+# Block 0 at scale 14, edge factor 16, seed 1: the hub block, where the
+# dedup top-up runs ~20-35 rounds and some scopes finish on the exact
+# path.  The scale-8 digests above barely leave the first pass, so these
+# pin the multi-round path byte for byte.  The digest covers the CSR
+# offsets, the destinations and ``stats.duplicates_discarded``.
+TOPUP_BLOCK_DIGESTS = {
+    ("recvec", 0.0): "220dd231277b5773",
+    ("bitwise", 0.0): "fcf2f349880735d2",
+    ("alias", 0.0): "6601d13506eb0a2f",
+    ("recvec", 0.1): "f557c355995a878f",
+    ("bitwise", 0.1): "0aa91ca120287fe5",
+    ("alias", 0.1): "95a3bb2249431c79",
+}
+
+# Block 0 of the base-3 generator at depth 8, seed 1 (5 top-up rounds,
+# 2 scopes finished exactly), as an edge-array digest.
+NARY_BLOCK_DIGEST = "bbc924b6b2605ed8"
+
+
+def block_digest(block, duplicates):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(block.offsets, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(block.destinations,
+                                  dtype=np.int64).tobytes())
+    h.update(str(duplicates).encode())
+    return h.hexdigest()[:16]
+
+
+def test_topup_block_digests_frozen():
+    for (sampler, noise), expected in TOPUP_BLOCK_DIGESTS.items():
+        gen = RecursiveVectorGenerator(14, 16, sampler=sampler,
+                                       noise=noise, seed=1)
+        block = gen.generate_block(0)
+        assert block_digest(block, gen.stats.duplicates_discarded) == \
+            expected, f"top-up output drifted for {sampler!r}, N={noise}"
+
+
+def test_nary_block_digest_frozen():
+    from repro.core.nary import NAryRecursiveVectorGenerator
+    from repro.core.seed import SeedMatrix
+    seed3 = SeedMatrix(np.array([[0.30, 0.12, 0.08],
+                                 [0.12, 0.10, 0.05],
+                                 [0.08, 0.05, 0.10]]))
+    gen = NAryRecursiveVectorGenerator(seed3, 8, seed=1)
+    assert edge_digest(gen.generate_block(0)) == NARY_BLOCK_DIGEST
