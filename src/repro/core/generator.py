@@ -54,6 +54,8 @@ from .process import EdgeProcess, make_process
 from .rng import stream
 from .scope import sample_scope_sizes
 from .seed import GRAPH500, SeedMatrix
+from .topup import (MAX_TOPUP_ROUNDS, SATURATED, STALLED, dedup_topup,
+                    record_exact_fallback)
 
 __all__ = [
     "IdeaToggles",
@@ -71,7 +73,6 @@ _ENGINES = ("vectorized", "bitwise", "alias", "reference")
 #: User-facing destination-sampler names -> internal engine names.
 _SAMPLER_ENGINES = {"recvec": "vectorized", "bitwise": "bitwise",
                     "alias": "alias"}
-_MAX_TOPUP_ROUNDS = 200
 _MAX_BUNDLE_DEPTH = 24
 
 
@@ -430,8 +431,6 @@ class RecursiveVectorGenerator:
         if saturated.any():
             return self._generate_block_with_saturated(sources, degrees,
                                                        saturated, rng)
-        total = int(degrees.sum())
-        rows = np.repeat(np.arange(sources.size, dtype=np.int64), degrees)
         sampler: _DestinationSampler
         if self.engine == "vectorized":
             recvecs = self.process.build_recvecs(sources)
@@ -442,76 +441,33 @@ class RecursiveVectorGenerator:
         else:
             bit_probs = self.process.bit_probabilities(sources)
             sampler = _BitwiseSampler(bit_probs, self.scale)
-        dests = sampler.sample(rows, rng)
-        self.stats.random_draws += total * sampler.draws_per_edge
+
+        def sample(rows: np.ndarray) -> np.ndarray:
+            self.stats.random_draws += rows.size * sampler.draws_per_edge
+            return sampler.sample(rows, rng)
+
+        span = np.int64(self.num_vertices)
         if not self.dedup:
-            order = np.argsort(rows * np.int64(self.num_vertices) + dests,
-                               kind="stable")
+            rows = np.repeat(np.arange(sources.size, dtype=np.int64),
+                             degrees)
+            dests = sample(rows)
+            order = np.argsort(rows * span + dests, kind="stable")
             offsets = np.zeros(sources.size + 1, dtype=np.int64)
             np.cumsum(degrees, out=offsets[1:])
             return AdjacencyBlock(sources, offsets, dests[order])
-        keys, dups = self._dedup_topup(rows, dests, degrees, sampler, rng,
-                                       sources)
+
+        def finish(row: int, reason: str) -> np.ndarray:
+            return self._sample_scope_exact(int(sources[row]),
+                                            int(degrees[row]), rng, reason)
+
+        keys, dups = dedup_topup(degrees, span, sample, finish)
         self.stats.duplicates_discarded += dups
-        rows_final = keys // self.num_vertices
-        dests_final = keys % self.num_vertices
-        counts = np.bincount(rows_final, minlength=sources.size)
-        offsets = np.zeros(sources.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return AdjacencyBlock(sources, offsets, dests_final)
-
-    def _dedup_topup(self, rows: np.ndarray, dests: np.ndarray,
-                     degrees: np.ndarray, sampler: "_DestinationSampler",
-                     rng: np.random.Generator,
-                     sources: np.ndarray) -> tuple[np.ndarray, int]:
-        """Per-scope duplicate elimination with stochastic top-up.
-
-        Implements Algorithm 2's ``while count(edgeSet) <= |S|`` loop for a
-        whole block at once: duplicates are dropped (set union), shortfalls
-        are refilled by drawing again, until every scope reaches its size.
-        Scopes whose rejection top-up stalls (very skewed conditional
-        distributions turn the last few distinct draws into a coupon-
-        collector problem) are finished by the exact PPSWOR sampler.
-        Returns the sorted packed keys ``row * |V| + dest`` and the number
-        of duplicates discarded.
-        """
-        span = np.int64(self.num_vertices)
-        keys = _sorted_unique(np.sort(rows * span + dests))
-        duplicates = rows.size - keys.size
-        for _ in range(_MAX_TOPUP_ROUNDS):
-            have = np.bincount((keys // span).astype(np.int64),
-                               minlength=degrees.size)
-            shortfall = degrees - have
-            if not (shortfall > 0).any():
-                return keys, duplicates
-            refill_rows = np.repeat(
-                np.arange(degrees.size, dtype=np.int64),
-                np.maximum(shortfall, 0))
-            new_dests = sampler.sample(refill_rows, rng)
-            candidates = _sorted_unique(np.sort(refill_rows * span
-                                                + new_dests))
-            # Drop candidates already present (both arrays are sorted).
-            if keys.size:
-                pos = np.searchsorted(keys, candidates)
-                pos = np.minimum(pos, keys.size - 1)
-                fresh = candidates[keys[pos] != candidates]
-            else:
-                fresh = candidates
-            duplicates += refill_rows.size - fresh.size
-            if fresh.size == 0:
-                break
-            keys = np.sort(np.concatenate([keys, fresh]))
-        # Rejection stalled (or rounds exhausted): finish the remaining
-        # scopes exactly.
-        have = np.bincount((keys // span).astype(np.int64),
-                           minlength=degrees.size)
-        short_rows = np.nonzero(degrees - have > 0)[0]
-        for row in short_rows:
-            exact = self._sample_scope_exact(int(sources[row]),
-                                             int(degrees[row]), rng)
-            keep = keys[keys // span != row]
-            keys = np.sort(np.concatenate([keep, row * span + exact]))
-        return keys, duplicates
+        bounds = np.arange(sources.size + 1, dtype=np.int64) * span
+        offsets = np.searchsorted(keys, bounds).astype(np.int64)
+        # Unpack in place: |V| is a power of two, so the low bits of a
+        # key are its destination.
+        keys &= span - 1
+        return AdjacencyBlock(sources, offsets, keys)
 
     def _build_alias_sampler(self, sources: np.ndarray) -> "_AliasSampler":
         """Gather (building and caching as needed) the per-pattern alias
@@ -569,25 +525,31 @@ class RecursiveVectorGenerator:
         return degrees > (self.num_vertices >> 2)
 
     def _sample_scope_exact(self, u: int, size: int,
-                            rng: np.random.Generator) -> np.ndarray:
+                            rng: np.random.Generator,
+                            reason: str) -> np.ndarray:
         """Exact without-replacement sample of ``size`` destinations.
 
         Materializes the row PMF (product of per-bit Bernoulli factors) and
         takes a PPSWOR sample via the Gumbel top-k trick — distributionally
         identical to the paper's draw-until-distinct loop, but O(|V| log |V|)
-        instead of coupon-collector time.  Only reachable at small scales,
-        so the O(|V|) row never exceeds a few MB.
+        instead of coupon-collector time.  The O(|V|) row is refused above
+        scale 26; ``reason`` (saturated scope or stalled top-up) names why
+        the scope came here.
         """
         if self.scale > 26:
             raise GenerationError(
-                "saturated scope at a scale too large to materialize; "
-                "this cannot occur for edge factors <= |V|^(1/4)")
+                f"cannot finish the scope of vertex {u} (size "
+                f"{size}) at scale {self.scale}: {reason}, and the exact "
+                f"path would materialize a 2^{self.scale}-cell row PMF "
+                f"(refused above scale 26)")
         bit_probs = self.process.bit_probabilities(
             np.array([u], dtype=np.uint64))[0]
         pmf = np.array([1.0])
         for x in range(self.scale):
             p = bit_probs[x]
             pmf = np.concatenate([pmf * (1.0 - p), pmf * p])
+        record_exact_fallback(pmf.nbytes)
+        self.stats.random_draws += pmf.size
         size = min(size, int(np.count_nonzero(pmf)))
         with np.errstate(divide="ignore"):
             scores = np.log(pmf) - np.log(-np.log(rng.random(pmf.size)))
@@ -607,8 +569,8 @@ class RecursiveVectorGenerator:
                                          light.offsets[j + 1]]
                       for j in range(sources.size)]
         for j in np.nonzero(saturated)[0]:
-            per_source[j] = self._sample_scope_exact(int(sources[j]),
-                                                     int(degrees[j]), rng)
+            per_source[j] = self._sample_scope_exact(
+                int(sources[j]), int(degrees[j]), rng, SATURATED)
         counts = np.array([d.size for d in per_source], dtype=np.int64)
         offsets = np.zeros(sources.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -640,7 +602,7 @@ class RecursiveVectorGenerator:
                                   rng: np.random.Generator) -> np.ndarray:
         """Algorithm 4 for one scope, honoring the Idea toggles."""
         if self.dedup and size > (self.num_vertices >> 2):
-            return self._sample_scope_exact(u, size, rng)
+            return self._sample_scope_exact(u, size, rng, SATURATED)
         ideas = self.ideas
         stats = self.stats
         recvec = None
@@ -653,12 +615,12 @@ class RecursiveVectorGenerator:
                     np.array([u], dtype=np.uint64))[0]
         edge_set: set[int] = set()
         attempts = 0
-        max_attempts = max(size * _MAX_TOPUP_ROUNDS, _MAX_TOPUP_ROUNDS)
+        max_attempts = max(size * MAX_TOPUP_ROUNDS, MAX_TOPUP_ROUNDS)
         while len(edge_set) < size:
             if attempts >= max_attempts:
                 # Rejection stalled on a very skewed scope; finish exactly
                 # (same fallback as the batched engines).
-                return self._sample_scope_exact(u, size, rng)
+                return self._sample_scope_exact(u, size, rng, STALLED)
             attempts += 1
             if not ideas.reuse_recvec:
                 recvec = self.process.build_recvec(u)
@@ -716,17 +678,6 @@ def _popcount64(values: np.ndarray) -> np.ndarray:
             >> np.uint64(56)).astype(np.int64)
 
 
-def _sorted_unique(sorted_keys: np.ndarray) -> np.ndarray:
-    """Deduplicate an already-sorted int array (avoids np.unique's hashing,
-    which dominates the profile on repeated top-up rounds)."""
-    if sorted_keys.size <= 1:
-        return sorted_keys
-    keep = np.empty(sorted_keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
-    return sorted_keys[keep]
-
-
 # ---------------------------------------------------------------------------
 # Destination samplers
 # ---------------------------------------------------------------------------
@@ -761,26 +712,36 @@ class _BitwiseSampler(_DestinationSampler):
     :mod:`repro.core.probability`)."""
 
     def __init__(self, bit_probs: np.ndarray, levels: int) -> None:
-        self.bit_probs = bit_probs
-        self.levels = levels
-        self.draws_per_edge = levels
+        # Level-major and contiguous: one level's probabilities for every
+        # source are one row, so a level is a 1-D ``take``.
+        self.level_probs = np.ascontiguousarray(bit_probs[:, :levels].T)
+        # Degenerate levels (seed entries of exactly 0 or 1) force the
+        # bit for every source: decide without drawing, so no randomness
+        # is consumed and the single-uniform rescale in the reference
+        # path can never divide by zero.
+        self.forced = 0
+        self.drawn: list[int] = []
+        for x, col in enumerate(self.level_probs):
+            if np.all(col >= 1.0):
+                self.forced |= 1 << x
+            elif not np.all(col <= 0.0):
+                self.drawn.append(x)
+        self.draws_per_edge = len(self.drawn)
 
     def sample(self, rows: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros(rows.size, dtype=np.int64)
-        for x in range(self.levels):
-            col = self.bit_probs[:, x]
-            # Degenerate levels (seed entries of exactly 0 or 1) force
-            # the bit for every source: decide without drawing, so no
-            # randomness is consumed and the single-uniform rescale in
-            # the reference path can never divide by zero.
-            if np.all(col >= 1.0):
-                out |= np.int64(1) << x
-                continue
-            if np.all(col <= 0.0):
-                continue
-            hits = rng.random(rows.size) < self.bit_probs[rows, x]
-            out |= hits.astype(np.int64) << x
+        n = rows.size
+        out = np.full(n, self.forced, dtype=np.int64)
+        uniform = np.empty(n, dtype=np.float64)
+        prob = np.empty(n, dtype=np.float64)
+        hits = np.empty(n, dtype=bool)
+        bit = np.empty(n, dtype=np.int64)
+        for x in self.drawn:
+            rng.random(out=uniform)
+            self.level_probs[x].take(rows, out=prob)
+            np.less(uniform, prob, out=hits)
+            np.left_shift(hits, x, out=bit, dtype=np.int64)
+            out |= bit
         return out
 
 

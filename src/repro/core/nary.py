@@ -21,12 +21,12 @@ from ..errors import ConfigurationError, GenerationError
 from .rng import stream
 from .scope import sample_scope_sizes
 from .seed import SeedMatrix
+from .topup import dedup_topup, record_exact_fallback
 
 __all__ = ["NAryRecursiveVectorGenerator"]
 
 _TAG_DEGREE = 301
 _TAG_EDGE = 302
-_MAX_TOPUP = 200
 
 
 class NAryRecursiveVectorGenerator:
@@ -118,12 +118,17 @@ class NAryRecursiveVectorGenerator:
         return dest
 
     def _sample_scope_exact(self, u: int, size: int,
-                            rng: np.random.Generator) -> np.ndarray:
-        """PPSWOR fallback for saturated/stalled scopes (mirrors the
-        binary generator's)."""
+                            rng: np.random.Generator,
+                            reason: str) -> np.ndarray:
+        """PPSWOR fallback for scopes whose top-up stalled or ran out of
+        rounds (mirrors the binary generator's); ``reason`` names which."""
         if self.num_vertices > 1 << 26:
             raise GenerationError(
-                "saturated scope too large to materialize")
+                f"cannot finish the scope of source vertex {u} (size "
+                f"{size}) at depth {self.depth} (|V| = {self.order}^"
+                f"{self.depth}): {reason}, and the exact path would "
+                f"materialize a {self.num_vertices}-cell row PMF (refused "
+                f"above 2^26 cells)")
         digits = self._digits(np.array([u]))[0]
         # Build the row PMF digit-by-digit, least significant first: the
         # step-d digit lands at index place n^d, so the final index IS the
@@ -133,6 +138,7 @@ class NAryRecursiveVectorGenerator:
             row = (self.seed_matrix.entries[digits[d]]
                    / self._row_sums[digits[d]])
             pmf = np.concatenate([pmf * p for p in row])
+        record_exact_fallback(pmf.nbytes)
         size = min(size, int(np.count_nonzero(pmf)))
         with np.errstate(divide="ignore"):
             scores = np.log(pmf) - np.log(-np.log(rng.random(pmf.size)))
@@ -156,37 +162,23 @@ class NAryRecursiveVectorGenerator:
         sources = self._block_sources(block_index)
         degrees = self.block_degrees(block_index)
         rng = stream(self.seed, _TAG_EDGE, block_index)
-        rows = np.repeat(np.arange(sources.size, dtype=np.int64), degrees)
-        src_digits = self._digits(sources[rows])
-        dests = self._sample_destinations(src_digits, rng)
+
+        def sample(rows: np.ndarray) -> np.ndarray:
+            return self._sample_destinations(self._digits(sources[rows]),
+                                             rng)
+
         if not self.dedup:
-            return np.column_stack([sources[rows], dests])
+            rows = np.repeat(np.arange(sources.size, dtype=np.int64),
+                             degrees)
+            return np.column_stack([sources[rows], sample(rows)])
+
+        def finish(row: int, reason: str) -> np.ndarray:
+            return self._sample_scope_exact(int(sources[row]),
+                                            int(degrees[row]), rng, reason)
+
         span = np.int64(self.num_vertices)
-        keys = np.unique(rows.astype(np.int64) * span + dests)
-        for _ in range(_MAX_TOPUP):
-            have = np.bincount((keys // span).astype(np.int64),
-                               minlength=sources.size)
-            shortfall = degrees - have
-            if not (shortfall > 0).any():
-                break
-            refill = np.repeat(np.arange(sources.size, dtype=np.int64),
-                               np.maximum(shortfall, 0))
-            new = refill.astype(np.int64) * span + self._sample_destinations(
-                self._digits(sources[refill]), rng)
-            merged = np.unique(np.concatenate([keys, new]))
-            if merged.size == keys.size:
-                # Stalled: finish the short scopes exactly.
-                for row in np.nonzero(shortfall > 0)[0]:
-                    exact = self._sample_scope_exact(
-                        int(sources[row]), int(degrees[row]), rng)
-                    keys = np.concatenate(
-                        [keys[keys // span != row],
-                         np.int64(row) * span + exact])
-                keys = np.sort(keys)
-                break
-            keys = merged
-        rows_final = (keys // span).astype(np.int64)
-        return np.column_stack([sources[rows_final], keys % span])
+        keys, _ = dedup_topup(degrees, span, sample, finish)
+        return np.column_stack([sources[keys // span], keys % span])
 
     def edges(self) -> np.ndarray:
         parts = [self.generate_block(b) for b in range(self._num_blocks())]
