@@ -3,7 +3,7 @@
 Not a paper figure — these benches justify the engineering decisions the
 reproduction makes on top of the paper's algorithm:
 
-- engine choice (reference vs vectorized vs bitwise),
+- sampler choice (reference vs recvec vs bitwise),
 - block size (randomness/batching granularity),
 - duplicate elimination on/off,
 - Theorem 1 approximation (normal vs exact binomial vs Poisson).
@@ -19,39 +19,39 @@ from repro.core.generator import RecursiveVectorGenerator
 SCALE = 13
 
 
-@pytest.mark.parametrize("engine", ["vectorized", "bitwise"])
-def test_engine_throughput(benchmark, engine):
-    g = RecursiveVectorGenerator(SCALE, 16, seed=1, engine=engine)
+@pytest.mark.parametrize("sampler", ["recvec", "bitwise"])
+def test_engine_throughput(benchmark, sampler):
+    g = RecursiveVectorGenerator(SCALE, 16, seed=1, sampler=sampler)
     edges = benchmark(g.edges)
     assert edges.shape[0] > 100000
 
 
 def test_engine_reference_throughput(benchmark):
     # Smaller scale: the per-edge Python loop is ~100x slower.
-    g = RecursiveVectorGenerator(10, 16, seed=1, engine="reference")
+    g = RecursiveVectorGenerator(10, 16, seed=1, sampler="reference")
     edges = benchmark.pedantic(g.edges, rounds=1, iterations=1)
     assert edges.shape[0] > 14000
 
 
 def test_engine_speed_ordering(benchmark, table):
-    """bitwise >= vectorized >> reference in edges/second."""
+    """bitwise >= recvec >> reference in edges/second."""
 
     def run():
         out = {}
-        for engine, scale in (("reference", 10), ("vectorized", SCALE),
-                              ("bitwise", SCALE)):
-            g = RecursiveVectorGenerator(scale, 16, seed=2, engine=engine)
+        for sampler, scale in (("reference", 10), ("recvec", SCALE),
+                               ("bitwise", SCALE)):
+            g = RecursiveVectorGenerator(scale, 16, seed=2, sampler=sampler)
             t0 = time.perf_counter()
             edges = g.edges()
-            out[engine] = edges.shape[0] / (time.perf_counter() - t0)
+            out[sampler] = edges.shape[0] / (time.perf_counter() - t0)
         return out
 
     rates = benchmark.pedantic(run, rounds=1, iterations=1)
-    table("Design ablation: engine throughput",
-          ["engine", "edges/s"],
+    table("Design ablation: sampler throughput",
+          ["sampler", "edges/s"],
           [[k, f"{v:,.0f}"] for k, v in rates.items()])
-    assert rates["vectorized"] > 3 * rates["reference"]
-    assert rates["bitwise"] > rates["vectorized"] * 0.8
+    assert rates["recvec"] > 3 * rates["reference"]
+    assert rates["bitwise"] > rates["recvec"] * 0.8
 
 
 def test_block_size_ablation(benchmark, table):

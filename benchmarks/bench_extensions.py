@@ -22,7 +22,7 @@ from repro.fit import fit_seed_matrix
 
 def fit_error(scale: int, seed: int) -> float:
     edges = RecursiveVectorGenerator(scale, 16, seed=seed,
-                                     engine="bitwise").edges()
+                                     sampler="bitwise").edges()
     fit = fit_seed_matrix(edges, 1 << scale)
     got = np.array(fit.seed_matrix.as_tuple())
     want = np.array(GRAPH500.as_tuple())

@@ -60,7 +60,7 @@ def test_trilliong_beats_disk_rmat_measured(benchmark, measured):
     ``test_paper_scale_table`` and ``tests/cluster``.)
     """
     def run():
-        g_tg = TrillionGSeqGenerator(16, 16, seed=7, engine="bitwise")
+        g_tg = TrillionGSeqGenerator(16, 16, seed=7, sampler="bitwise")
         t0 = time.perf_counter()
         g_tg.generate()
         t_tg = time.perf_counter() - t0
@@ -85,9 +85,9 @@ def test_algorithmic_work_advantage(benchmark):
     from repro.core.generator import IdeaToggles, RecursiveVectorGenerator
 
     def run():
-        on = RecursiveVectorGenerator(10, 8, seed=5, engine="reference")
+        on = RecursiveVectorGenerator(10, 8, seed=5, sampler="reference")
         on.edges()
-        off = RecursiveVectorGenerator(10, 8, seed=5, engine="reference",
+        off = RecursiveVectorGenerator(10, 8, seed=5, sampler="reference",
                                        ideas=IdeaToggles.all_off())
         off.edges()
         return on.stats, off.stats

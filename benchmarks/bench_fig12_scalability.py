@@ -24,7 +24,7 @@ MEASURED_SCALES = (12, 13, 14, 15, 16)
 def measured():
     rows = []
     for scale in MEASURED_SCALES:
-        g = RecursiveVectorGenerator(scale, 16, seed=8, engine="bitwise")
+        g = RecursiveVectorGenerator(scale, 16, seed=8, sampler="bitwise")
         t0 = time.perf_counter()
         edges = g.edges()
         dt = time.perf_counter() - t0

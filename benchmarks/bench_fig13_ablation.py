@@ -30,7 +30,7 @@ def ablation():
     results = {}
     for combo in COMBOS:
         g = RecursiveVectorGenerator(SCALE, EDGE_FACTOR, seed=13,
-                                     engine="reference",
+                                     sampler="reference",
                                      ideas=IdeaToggles(*combo))
         t0 = time.perf_counter()
         g.edges()

@@ -26,7 +26,7 @@ def scores():
         values = []
         for seed in SEEDS:
             g = RecursiveVectorGenerator(SCALE, 16, seed=seed,
-                                         noise=noise, engine="bitwise")
+                                         noise=noise, sampler="bitwise")
             values.append(oscillation_score(
                 out_degrees(g.edges(), g.num_vertices)))
         result[noise] = sum(values) / len(values)
@@ -61,7 +61,7 @@ def test_noisy_graph_keeps_power_law(benchmark):
 
     def run():
         g = RecursiveVectorGenerator(SCALE, 16, seed=10, noise=0.1,
-                                     engine="bitwise")
+                                     sampler="bitwise")
         return fit_kronecker_class_slope(
             out_degrees(g.edges(), g.num_vertices))
 
@@ -73,6 +73,6 @@ def test_generation_cost_of_noise(benchmark):
     """NSKG noise is essentially free in the recursive vector model (the
     noisy RecVec of Lemma 8 costs the same O(log|V|) build)."""
     g = RecursiveVectorGenerator(13, 16, seed=11, noise=0.1,
-                                 engine="bitwise")
+                                 sampler="bitwise")
     edges = benchmark(g.edges)
     assert edges.shape[0] > 100000

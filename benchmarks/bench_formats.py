@@ -13,7 +13,7 @@ Two artifacts matter beyond the printed tables:
   block-streaming output path: encoding whole ``AdjacencyBlock``s must
   beat the per-vertex ``writer.add`` loop at scale 18.
 - ``test_emit_bench_json`` writes ``BENCH_formats.json`` at the repo root
-  (scale, format, engine, edges/s, MB/s, pipeline on/off) so later PRs
+  (scale, format, sampler, edges/s, MB/s, pipeline on/off) so later PRs
   have a perf trajectory to compare against.
 - ``test_telemetry_overhead_gate`` is the CI gate for the telemetry
   layer: generation+write throughput with telemetry on must stay within
@@ -220,7 +220,7 @@ def test_emit_bench_json(tmp_path, table):
             records.append({
                 "scale": SCALE,
                 "format": fmt_name,
-                "engine": gen.engine,
+                "sampler": gen.sampler,
                 "pipeline": "on" if pipeline else "off",
                 "edges_per_second": round(result.edges_per_second),
                 "mb_per_second": round(
@@ -230,7 +230,7 @@ def test_emit_bench_json(tmp_path, table):
             })
     out_path = _REPO_ROOT / "BENCH_formats.json"
     out_path.write_text(json.dumps(records, indent=2) + "\n")
-    table(f"BENCH_formats.json (scale {SCALE}, engine {gen.engine})",
+    table(f"BENCH_formats.json (scale {SCALE}, sampler {gen.sampler})",
           ["format", "pipeline", "edges/s", "MB/s"],
           [[r["format"], r["pipeline"], f"{r['edges_per_second']:,}",
             r["mb_per_second"]] for r in records])

@@ -27,7 +27,7 @@ def test_out_slope_rows(benchmark, table):
         for target in (-1.0, -1.662, -2.2):
             seed = seed_for_out_slope(target)
             g = RecursiveVectorGenerator(SCALE, 16, seed, seed=1,
-                                         engine="bitwise")
+                                         sampler="bitwise")
             deg = out_degrees(g.edges(), g.num_vertices)
             rows.append([f"Kout zipf({target})",
                          round(seed.out_zipf_slope(), 3),
@@ -47,7 +47,7 @@ def test_in_slope_rows(benchmark, table):
         for target in (-1.2, -1.662):
             seed = seed_for_in_slope(target)
             g = RecursiveVectorGenerator(SCALE, 16, seed, seed=2,
-                                         engine="bitwise")
+                                         sampler="bitwise")
             deg = in_degrees(g.edges(), g.num_vertices)
             rows.append([f"Kin zipf({target})",
                          round(seed.in_zipf_slope(), 3),
@@ -64,7 +64,7 @@ def test_in_slope_rows(benchmark, table):
 def test_uniform_seed_gaussian_row(benchmark, table):
     def measure():
         g = RecursiveVectorGenerator(SCALE, 16, UNIFORM, seed=3,
-                                     engine="bitwise")
+                                     sampler="bitwise")
         deg = out_degrees(g.edges(), g.num_vertices)
         return fit_gaussian(deg)
 

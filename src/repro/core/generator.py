@@ -5,30 +5,23 @@ it draws the scope size ``d+(u)`` (Theorem 1), builds ``RecVec`` (Lemma 2 /
 Lemma 8), and samples that many *distinct* destinations (Theorem 2,
 Algorithm 5), requiring only ``O(dmax)`` working memory.
 
-Engines
--------
-``reference``
-    Paper-faithful per-edge Python loop (Algorithms 4-5), instrumented with
-    recursion/draw counters and the three Idea toggles — the engine behind
-    the Figure 13 ablation.
-``vectorized``
-    The same Algorithm 5 translation loop, executed batched in numpy over a
-    block of sources (row-wise searchsorted).  Identical stochastic process.
+Samplers
+--------
+``recvec`` (default)
+    Algorithm 5's translation loop, executed batched in numpy over a
+    block of sources (row-wise searchsorted).
 ``bitwise``
     Exploits the bit-factorization of ``P(v|u)`` (see
     :mod:`repro.core.probability`): destination bits are independent
     Bernoulli draws.  Distributionally identical and fast in numpy.
-``alias``
-    The linear-work kernel (Hübschle-Schneider & Sanders): Vose alias
-    tables over *bundles* of recursion-path prefixes draw the top
-    ``bundle_depth`` destination bits in O(1), and the remaining low
-    bits are filled by the vectorized bit-peel — O(1 + (log|V|)/b) per
-    edge instead of O(log|V|).  See :mod:`repro.core.alias` and
-    ``docs/kernel.md``.
+``reference``
+    Paper-faithful per-edge Python loop (Algorithms 4-5), instrumented with
+    recursion/draw counters and the three Idea toggles — the sampler behind
+    the Figure 13 ablation.
 
-Each engine is deterministic per ``(params, seed)`` but the engines are
+Each sampler is deterministic per ``(params, seed)`` but the samplers are
 **not** byte-identical to one another — they consume their streams in
-different shapes.  Golden digests per backend are frozen in
+different shapes.  Golden digests per sampler are frozen in
 ``tests/core/test_rng_golden.py``.
 
 Determinism
@@ -48,8 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigurationError, GenerationError
-from ..telemetry import RECURSION_BUCKETS, Stopwatch, registry
-from .alias import build_alias_table, bundle_pmf
+from ..telemetry import RECURSION_BUCKETS, registry
 from .process import EdgeProcess, make_process
 from .rng import stream
 from .scope import sample_scope_sizes
@@ -58,6 +50,7 @@ from .topup import (MAX_TOPUP_ROUNDS, SATURATED, STALLED, dedup_topup,
                     record_exact_fallback)
 
 __all__ = [
+    "SAMPLERS",
     "IdeaToggles",
     "GenerationStats",
     "RecursiveVectorGenerator",
@@ -69,11 +62,8 @@ _TAG_NOISE = 101
 _TAG_DEGREE = 102
 _TAG_EDGE = 103
 
-_ENGINES = ("vectorized", "bitwise", "alias", "reference")
-#: User-facing destination-sampler names -> internal engine names.
-_SAMPLER_ENGINES = {"recvec": "vectorized", "bitwise": "bitwise",
-                    "alias": "alias"}
-_MAX_BUNDLE_DEPTH = 24
+#: Destination-sampler names (``recvec`` is the default).
+SAMPLERS = ("recvec", "bitwise", "reference")
 
 
 @dataclass(frozen=True)
@@ -100,8 +90,9 @@ class IdeaToggles:
 
 @dataclass
 class GenerationStats:
-    """Counters accumulated while generating (reference engine counts
-    recursions and draws; all engines count edges and duplicates)."""
+    """Counters accumulated while generating (the reference sampler
+    counts recursions; every sampler counts edges, draws and
+    duplicates)."""
 
     edges: int = 0
     duplicates_discarded: int = 0
@@ -169,17 +160,13 @@ class RecursiveVectorGenerator:
     direction:
         ``"out"`` for AVS-O (scopes are rows; yields out-adjacency) or
         ``"in"`` for AVS-I (scopes are columns; yields in-adjacency).
-    engine:
-        ``"vectorized"`` (default), ``"bitwise"``, ``"alias"``, or
-        ``"reference"``.
     sampler:
-        Destination-sampler name — the user-facing spelling of the
-        batched backends: ``"recvec"`` (-> ``vectorized``),
-        ``"bitwise"``, or ``"alias"``.  Takes precedence over
-        ``engine`` when given.
+        Destination sampler: ``"recvec"`` (default), ``"bitwise"`` or
+        ``"reference"`` (see the module docstring).
     ideas:
-        Idea toggles (reference engine only; the batched engines embody all
-        three ideas by construction).
+        Idea toggles (``reference`` sampler only; the batched samplers
+        embody all three ideas by construction, so non-default toggles
+        are rejected for them).
     dedup:
         Eliminate repeat edges within each scope and top up to the drawn
         scope size (Algorithm 2's set semantics).  Default True.
@@ -191,13 +178,6 @@ class RecursiveVectorGenerator:
     block_size:
         Number of consecutive sources generated per batch; randomness is
         keyed per block, so this also fixes the determinism granularity.
-    bundle_depth:
-        Alias backend only: number of top destination bits drawn per
-        alias-table gather (table size ``2**bundle_depth``; effective
-        depth is capped at ``scale``).  Larger bundles mean fewer fill
-        draws but exponentially bigger tables — see ``docs/kernel.md``
-        for the tradeoff.  Like ``block_size``, it is part of the
-        determinism key for the alias backend.
     """
 
     def __init__(self, scale: int, edge_factor: int = 16,
@@ -205,14 +185,12 @@ class RecursiveVectorGenerator:
                  num_edges: int | None = None,
                  noise: float = 0.0,
                  direction: str = "out",
-                 engine: str = "vectorized",
-                 sampler: str | None = None,
+                 sampler: str = "recvec",
                  ideas: IdeaToggles | None = None,
                  dedup: bool = True,
                  degree_method: str = "normal",
                  seed: int = 0,
-                 block_size: int = 4096,
-                 bundle_depth: int = 8) -> None:
+                 block_size: int = 4096) -> None:
         if scale < 1:
             raise ConfigurationError("scale must be >= 1")
         if scale > 56:
@@ -220,19 +198,14 @@ class RecursiveVectorGenerator:
                 "scale > 56 would overflow int64 destination packing")
         if direction not in ("out", "in"):
             raise ConfigurationError("direction must be 'out' or 'in'")
-        if sampler is not None:
-            if sampler not in _SAMPLER_ENGINES:
-                raise ConfigurationError(
-                    f"unknown sampler {sampler!r}; expected one of "
-                    f"{tuple(_SAMPLER_ENGINES)}")
-            engine = _SAMPLER_ENGINES[sampler]
-        if engine not in _ENGINES:
+        if sampler not in SAMPLERS:
             raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}")
-        if not 1 <= bundle_depth <= _MAX_BUNDLE_DEPTH:
+                f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
+        if (ideas is not None and ideas != IdeaToggles()
+                and sampler != "reference"):
             raise ConfigurationError(
-                f"bundle_depth must be in [1, {_MAX_BUNDLE_DEPTH}], "
-                f"got {bundle_depth}")
+                f"Idea toggles act only on the 'reference' sampler; "
+                f"sampler {sampler!r} would ignore {ideas}")
         if block_size < 1:
             raise ConfigurationError("block_size must be positive")
         self.scale = scale
@@ -245,20 +218,13 @@ class RecursiveVectorGenerator:
         self.seed_matrix = base
         self.direction = direction
         matrix = base if direction == "out" else base.transpose()
-        self.engine = engine
+        self.sampler = sampler
         self.ideas = ideas if ideas is not None else IdeaToggles()
         self.dedup = dedup
         self.degree_method = degree_method
         self.seed = seed
         self.noise = noise
         self.block_size = block_size
-        self.bundle_depth = bundle_depth
-        # Effective bundle depth: a bundle cannot cover more levels than
-        # the address has bits.
-        self._bundle_levels = min(bundle_depth, scale)
-        # Alias tables keyed by the source's top-bundle_levels bit
-        # pattern, cached across blocks (pure function of the process).
-        self._alias_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.process: EdgeProcess = make_process(
             matrix, scale, noise, stream(seed, _TAG_NOISE))
         self.stats = GenerationStats()
@@ -305,7 +271,7 @@ class RecursiveVectorGenerator:
         rng = stream(self.seed, _TAG_EDGE, block_index)
         before = (self.stats.random_draws, self.stats.recvec_builds,
                   self.stats.duplicates_discarded)
-        if self.engine == "reference":
+        if self.sampler == "reference":
             block = self._generate_block_reference(sources, degrees, rng)
         else:
             block = self._generate_block_batched(sources, degrees, rng)
@@ -340,7 +306,7 @@ class RecursiveVectorGenerator:
             stats.duplicates_discarded - dups0)
         reg.counter("generator.random_draws").inc(draws)
         reg.counter("generator.recvec_builds").inc(builds)
-        if self.engine in ("vectorized", "reference"):
+        if self.sampler in ("recvec", "reference"):
             # Idea #1 effectiveness: every draw beyond the first per scope
             # reuses an already-built RecVec.  Builds that served no draw
             # (zero-degree scopes) appear only in recvec_builds, keeping
@@ -349,19 +315,9 @@ class RecursiveVectorGenerator:
             reg.counter("generator.recvec_reuse_hits").inc(hits)
             reg.counter("generator.recvec_reuse_misses").inc(draws - hits)
         if block.destinations.size:
-            if self.engine == "alias":
-                # The bundle gather resolves the top bundle_levels bits
-                # in one step; only fill-region 1-bits still cost a
-                # translation each, so the per-edge count collapses to
-                # 1 + popcount of the low bits.
-                fill = self.scale - self._bundle_levels
-                low = block.destinations & np.int64((1 << fill) - 1)
-                pops = _popcount64(low) + 1
-            else:
-                # Theorem 2: Algorithm 5 recurses once per 1-bit of the
-                # destination, so the per-edge recursion count is
-                # popcount(v).
-                pops = _popcount64(block.destinations)
+            # Theorem 2: Algorithm 5 recurses once per 1-bit of the
+            # destination, so the per-edge recursion count is popcount(v).
+            pops = _popcount64(block.destinations)
             counts = np.bincount(pops)
             values = np.nonzero(counts)[0]
             reg.histogram("generator.recursions_per_edge",
@@ -421,7 +377,7 @@ class RecursiveVectorGenerator:
         return out
 
     # ------------------------------------------------------------------
-    # Batched engines (vectorized / bitwise)
+    # Batched samplers (recvec / bitwise)
     # ------------------------------------------------------------------
 
     def _generate_block_batched(self, sources: np.ndarray,
@@ -432,12 +388,10 @@ class RecursiveVectorGenerator:
             return self._generate_block_with_saturated(sources, degrees,
                                                        saturated, rng)
         sampler: _DestinationSampler
-        if self.engine == "vectorized":
+        if self.sampler == "recvec":
             recvecs = self.process.build_recvecs(sources)
             self.stats.recvec_builds += sources.size
             sampler = _RecVecSampler(recvecs)
-        elif self.engine == "alias":
-            sampler = self._build_alias_sampler(sources)
         else:
             bit_probs = self.process.bit_probabilities(sources)
             sampler = _BitwiseSampler(bit_probs, self.scale)
@@ -468,44 +422,6 @@ class RecursiveVectorGenerator:
         # key are its destination.
         keys &= span - 1
         return AdjacencyBlock(sources, offsets, keys)
-
-    def _build_alias_sampler(self, sources: np.ndarray) -> "_AliasSampler":
-        """Gather (building and caching as needed) the per-pattern alias
-        tables covering ``sources`` — see :mod:`repro.core.alias`.
-
-        The table for a source depends only on its top ``bundle_levels``
-        bits, so consecutive sources share tables: a 4096-source block
-        touches at most two patterns once ``scale - bundle_depth >= 12``.
-        Tables are cached on the generator for the lifetime of the run.
-        """
-        b = self._bundle_levels
-        fill = self.scale - b
-        codes = (sources.astype(np.uint64)
-                 >> np.uint64(fill)).astype(np.int64)
-        patterns, pattern_rows = np.unique(codes, return_inverse=True)
-        prob = np.empty((patterns.size, 1 << b), dtype=np.float64)
-        alias = np.empty((patterns.size, 1 << b), dtype=np.int64)
-        built = 0
-        watch = Stopwatch()
-        with watch:
-            for j, code in enumerate(patterns):
-                cached = self._alias_tables.get(int(code))
-                if cached is None:
-                    representative = np.array([int(code) << fill],
-                                              dtype=np.uint64)
-                    level_probs = self.process.bit_probabilities(
-                        representative)[0][fill:]
-                    cached = build_alias_table(bundle_pmf(level_probs))
-                    self._alias_tables[int(code)] = cached
-                    built += 1
-                prob[j], alias[j] = cached
-        reg = registry()
-        if reg.enabled and built:
-            reg.counter("gen.alias.tables_built").inc(built)
-            reg.counter("gen.alias.build_seconds").inc(watch.seconds)
-        bit_probs = self.process.bit_probabilities(sources)
-        return _AliasSampler(bit_probs, fill, pattern_rows.astype(np.int64),
-                             prob, alias)
 
     # ------------------------------------------------------------------
     # Saturated scopes (small-scale hubs whose size approaches |V|)
@@ -579,7 +495,7 @@ class RecursiveVectorGenerator:
         return AdjacencyBlock(sources, offsets, dest)
 
     # ------------------------------------------------------------------
-    # Reference engine (Algorithms 4-5, instrumented, idea toggles)
+    # Reference sampler (Algorithms 4-5, instrumented, idea toggles)
     # ------------------------------------------------------------------
 
     def _generate_block_reference(self, sources: np.ndarray,
@@ -619,7 +535,7 @@ class RecursiveVectorGenerator:
         while len(edge_set) < size:
             if attempts >= max_attempts:
                 # Rejection stalled on a very skewed scope; finish exactly
-                # (same fallback as the batched engines).
+                # (same fallback as the batched samplers).
                 return self._sample_scope_exact(u, size, rng, STALLED)
             attempts += 1
             if not ideas.reuse_recvec:
@@ -650,8 +566,8 @@ class RecursiveVectorGenerator:
         if lo >= self.num_vertices:
             raise ValueError(f"block {block_index} is out of range")
         # int64, the AdjacencyBlock ID convention: the bit-twiddling
-        # consumers (recvec builds, bit probabilities, alias codes)
-        # all re-cast to uint64 themselves.
+        # consumers (recvec builds, bit probabilities) re-cast to
+        # uint64 themselves.
         return np.arange(lo, hi, dtype=np.int64)
 
     def _check_range(self, start: int, stop: int | None) -> tuple[int, int]:
@@ -742,56 +658,6 @@ class _BitwiseSampler(_DestinationSampler):
             np.less(uniform, prob, out=hits)
             np.left_shift(hits, x, out=bit, dtype=np.int64)
             out |= bit
-        return out
-
-
-class _AliasSampler(_DestinationSampler):
-    """Linear-work bundle sampler (Hübschle-Schneider & Sanders).
-
-    The top ``levels - fill_levels`` destination bits are drawn as one
-    prefix bundle from a per-source-pattern Vose alias table (two
-    uniforms: slot pick + biased coin); the remaining ``fill_levels``
-    low bits are filled by the vectorized bit-peel (one ``(n,
-    fill_levels)`` uniform matrix).  Per-edge cost is O(1 +
-    fill_levels) regardless of scale.
-
-    The draw order — slot batch, coin batch, then the fill matrix — is
-    a frozen part of the determinism contract
-    (``tests/core/test_rng_golden.py``); reordering it is a golden
-    break for every alias-backend user.
-    """
-
-    def __init__(self, bit_probs: np.ndarray, fill_levels: int,
-                 pattern_rows: np.ndarray, prob: np.ndarray,
-                 alias: np.ndarray) -> None:
-        self.bit_probs = bit_probs        # (n_sources, levels)
-        self.fill_levels = fill_levels
-        self.pattern_rows = pattern_rows  # (n_sources,) -> table row
-        self.prob = prob                  # (n_patterns, 2**b)
-        self.alias = alias                # (n_patterns, 2**b)
-        self.draws_per_edge = 2 + fill_levels
-
-    def sample(self, rows: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        n = rows.size
-        size = self.prob.shape[1]
-        pat = self.pattern_rows[rows]
-        slot_u = rng.random(n)
-        coin_u = rng.random(n)
-        slots = np.minimum((slot_u * size).astype(np.int64), size - 1)
-        keep = coin_u < self.prob[pat, slots]
-        prefix = np.where(keep, slots, self.alias[pat, slots])
-        out = prefix << np.int64(self.fill_levels)
-        if self.fill_levels:
-            fill_u = rng.random((n, self.fill_levels))
-            hits = fill_u < self.bit_probs[rows, :self.fill_levels]
-            weights = np.int64(1) << np.arange(self.fill_levels,
-                                               dtype=np.int64)
-            out |= hits.astype(np.int64) @ weights
-        reg = registry()
-        if reg.enabled:
-            reg.counter("gen.alias.bundle_draws").inc(n)
-            reg.counter("gen.alias.fill_bits").inc(n * self.fill_levels)
         return out
 
 

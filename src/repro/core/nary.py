@@ -5,7 +5,7 @@ notes that SKG generalizes RMAT to ``n x n`` probability parameters.  This
 module extends the AVS approach to that full generality: vertex IDs become
 base-``n`` digit strings of length ``depth`` (``|V| = n**depth``), Lemma 1
 becomes a product of per-digit row sums, and edge determination factorizes
-per digit — the base-``n`` analogue of the ``bitwise`` engine, i.e. the
+per digit — the base-``n`` analogue of the ``bitwise`` sampler, i.e. the
 destination's digit at position ``d`` is drawn from the categorical
 distribution ``K[u_d, :] / rowsum(K[u_d, :])``.
 

@@ -134,7 +134,7 @@ class NoisySeedStack:
     def bit_probabilities(self, sources: np.ndarray) -> np.ndarray:
         """``P(v[x] = 1 | u)`` per bit position, shape ``(n, levels)``
         with column ``x`` = bit position ``x`` (LSB = 0); the bitwise
-        engine's Bernoulli parameters under noise."""
+        sampler's Bernoulli parameters under noise."""
         src = np.asarray(sources, dtype=np.uint64)
         out = np.empty((src.size, self.levels), dtype=np.float64)
         for x in range(self.levels):

@@ -2,10 +2,10 @@
 
 Implements Proposition 1 (probability of a single edge ``u -> v``),
 Lemma 1 (row probability ``P(u->)``), and the per-bit conditional
-probabilities that justify the ``bitwise`` generation engine.
+probabilities that justify the ``bitwise`` destination sampler.
 
-Factorization note (used by the fast engine)
---------------------------------------------
+Factorization note (used by the bitwise sampler)
+------------------------------------------------
 Proposition 1 writes ``K[u,v] = prod_i K[u[i], v[i]]`` over bit positions
 ``i``.  Dividing by Lemma 1's ``P(u->) = prod_i (K[u[i],0] + K[u[i],1])``
 shows the conditional distribution of the destination given the source
@@ -104,7 +104,7 @@ def destination_bit_probabilities(seed: SeedMatrix, u: int,
 
     Returns an array ``p`` of length ``levels`` indexed by bit position
     (LSB = index 0): ``p[i] = K[u[i],1] / (K[u[i],0] + K[u[i],1])``.
-    This is the Bernoulli parameter used by the ``bitwise`` engine and also
+    This is the Bernoulli parameter used by the ``bitwise`` sampler and also
     equals the paper's scale-symmetry ratio ``sigma_{u[k]}`` normalized:
     ``sigma = p / (1 - p)`` (Lemma 3).
     """

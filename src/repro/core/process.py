@@ -4,7 +4,7 @@ The AVS generator needs three quantities per source vertex ``u``:
 
 1. the row probability ``P(u->)`` (Theorem 1's ``p``),
 2. the RecVec row (Theorem 2's search structure),
-3. the per-bit Bernoulli parameters (for the ``bitwise`` engine).
+3. the per-bit Bernoulli parameters (for the ``bitwise`` sampler).
 
 Both the noiseless process (one seed matrix, Lemmas 1-2) and the noisy NSKG
 process (per-level matrices, Lemmas 7-8) provide them; generators are
@@ -48,7 +48,7 @@ class EdgeProcess(ABC):
         """``P(v[x]=1 | u)`` per bit position, shape ``(n, levels)``."""
 
     def build_recvec(self, u: int) -> np.ndarray:
-        """Single-source RecVec (convenience for the reference engine)."""
+        """Single-source RecVec (convenience for the reference sampler)."""
         return self.build_recvecs(np.array([u], dtype=np.uint64))[0]
 
 

@@ -3,8 +3,8 @@
 Algorithm 2 keeps each scope a *set*: repeat edges are dropped and the
 scope is topped up by drawing again until it holds ``d+(u)`` distinct
 destinations.  :func:`dedup_topup` runs that loop for a whole block of
-scopes at once and is shared by every batched backend (the binary
-generator's ``recvec``/``bitwise``/``alias`` samplers and the base-n
+scopes at once and is shared by every batched sampler (the binary
+generator's ``recvec`` and ``bitwise`` samplers and the base-n
 generator).
 
 Cost model: the first pass sorts the block's keys once.  After that, a

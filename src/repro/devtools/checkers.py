@@ -16,7 +16,7 @@ block-streaming     RPL505+  producers feed writers whole blocks, never
                              per-vertex ``writer.add`` loops
 kernel-vectorization RPL510  sampling kernels stay whole-batch numpy:
                              no per-edge Python loops outside the
-                             reference engine
+                             reference sampler
 merge-streaming     RPL520   external-merge streams stay streamed in
                              the producer layers: no whole-set
                              collection of ``iter_unique_keys`` & co
@@ -676,13 +676,12 @@ class KernelVectorizationChecker(Checker):
     (``kernel_module_prefixes``).  The destination samplers owe their
     throughput to whole-batch numpy work — one gather/compare per batch,
     never one interpreter iteration per edge; a loop over ``rows`` /
-    ``dests`` / friends reinserts the O(|E|) Python loop the alias and
-    bitwise backends exist to remove.  Functions whose name mentions
-    ``reference`` are exempt: the paper-faithful engine is a per-edge
+    ``dests`` / friends reinserts the O(|E|) Python loop the batched
+    samplers exist to remove.  Functions whose name mentions
+    ``reference`` are exempt: the paper-faithful sampler is a per-edge
     loop by design (that is the ablation baseline).  Loops over
-    per-block or per-table structures (``sources``, ``patterns``,
-    ``range(levels)``) are fine — they are O(block) or O(2^b), not
-    O(|E|).
+    per-block structures (``sources``, short rows, ``range(levels)``)
+    are fine — they are O(block), not O(|E|).
     """
 
     name = "kernel-vectorization"

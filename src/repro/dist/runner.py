@@ -224,12 +224,12 @@ class LocalCluster:
             seed_matrix=generator.seed_matrix,
             noise=generator.noise,
             direction=generator.direction,
-            engine=generator.engine,
+            sampler=generator.sampler,
+            ideas=generator.ideas,
             dedup=generator.dedup,
             degree_method=generator.degree_method,
             seed=generator.seed,
             block_size=generator.block_size,
-            bundle_depth=generator.bundle_depth,
         )
 
     def _build_tasks(self, generator: RecursiveVectorGenerator,

@@ -64,13 +64,13 @@ def table3_rows(scale: int = 13, seed: int = 1) -> Rows:
     for slope in (-1.0, -1.662, -2.2):
         matrix = seed_for_out_slope(slope)
         g = RecursiveVectorGenerator(scale, 16, matrix, seed=seed,
-                                     engine="bitwise")
+                                     sampler="bitwise")
         measured = fit_kronecker_class_slope(
             out_degrees(g.edges(), g.num_vertices))
         rows.append({"seed": f"Kout zipf({slope})", "predicted": slope,
                      "measured": round(measured, 3)})
     g = RecursiveVectorGenerator(scale, 16, UNIFORM, seed=seed,
-                                 engine="bitwise")
+                                 sampler="bitwise")
     fit = fit_gaussian(out_degrees(g.edges(), g.num_vertices))
     rows.append({"seed": "uniform (Gaussian)", "predicted": 16.0,
                  "measured": round(fit.mean, 2)})
@@ -103,7 +103,7 @@ def figure9_rows(scale: int = 15, seeds: tuple = (1, 2, 3)) -> Rows:
         scores = []
         for seed in seeds:
             g = RecursiveVectorGenerator(scale, 16, seed=seed,
-                                         noise=noise, engine="bitwise")
+                                         noise=noise, sampler="bitwise")
             scores.append(oscillation_score(
                 out_degrees(g.edges(), g.num_vertices)))
         rows.append({"noise": noise,
@@ -154,7 +154,7 @@ def figure13_rows(scale: int = 11, edge_factor: int = 8) -> Rows:
         for i2 in (False, True):
             for i3 in (False, True):
                 g = RecursiveVectorGenerator(
-                    scale, edge_factor, seed=13, engine="reference",
+                    scale, edge_factor, seed=13, sampler="reference",
                     ideas=IdeaToggles(i1, i2, i3))
                 t0 = time.perf_counter()
                 g.edges()

@@ -54,7 +54,7 @@ class GraphScaler:
 
     def generator(self, scale: int, seed: int = 0, *,
                   noise: float = 0.0,
-                  engine: str = "vectorized") -> RecursiveVectorGenerator:
+                  sampler: str = "recvec") -> RecursiveVectorGenerator:
         """Build a generator for the scaled graph (``|V| = 2**scale``),
         preserving the fitted seed and the observed edge density."""
         if scale < 1:
@@ -63,7 +63,7 @@ class GraphScaler:
                                   * (1 << scale))), 1)
         return RecursiveVectorGenerator(
             scale, seed_matrix=self.seed_matrix, num_edges=num_edges,
-            noise=noise, engine=engine, seed=seed)
+            noise=noise, sampler=sampler, seed=seed)
 
     def scale_to(self, scale: int, seed: int = 0, **kwargs) -> np.ndarray:
         """Generate the scaled graph's edges."""

@@ -4,7 +4,7 @@ TrillionG supports three formats: the edge-list text format (TSV), the
 6-byte adjacency-list binary format (ADJ6), and the 6-byte Compressed
 Sparse Row binary format (CSR6).  The unit of the write path is the
 :class:`~repro.core.generator.AdjacencyBlock` — the CSR-like triplet the
-AVS engines produce natively — so whole blocks are encoded with
+AVS samplers produce natively — so whole blocks are encoded with
 vectorized numpy buffer assembly and hit the disk as one ``write()``
 each (see ``docs/formats.md``).  ``(vertex, neighbours)`` pairs remain
 supported as the compatibility surface: :meth:`StreamWriter.add` is the

@@ -23,18 +23,18 @@ class TrillionGSeqGenerator(ScopeBasedGenerator):
     name = "TrillionG/seq"
     complexity = Complexity("O(|E| log|V| / P)", "O(d_max)", "AVS")
 
-    def __init__(self, *args, noise: float = 0.0, engine: str = "vectorized",
+    def __init__(self, *args, noise: float = 0.0, sampler: str = "recvec",
                  ideas: IdeaToggles | None = None, block_size: int = 4096,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.inner = RecursiveVectorGenerator(
             self.scale, seed_matrix=self.seed_matrix,
-            num_edges=self.num_edges, noise=noise, engine=engine,
+            num_edges=self.num_edges, noise=noise, sampler=sampler,
             ideas=ideas, seed=self.seed, block_size=block_size)
 
     def estimated_peak_bytes(self) -> int:
         """AVS holds one scope (<= d_max destinations) plus RecVec; the
-        batched engines hold one block of scopes.  Estimated as the block's
+        batched samplers hold one block of scopes.  Estimated as the block's
         expected edge mass (upper-bounded by the hub block)."""
         expected_block_edges = (self.num_edges / self.num_vertices
                                 * self.inner.block_size)

@@ -173,8 +173,8 @@ def _prom_name(name: str) -> str:
     """Sanitize to a legal Prometheus metric name.
 
     The exposition format allows ``[a-zA-Z_:][a-zA-Z0-9_:]*``; runs of
-    anything else collapse to a single ``_`` so ``gen.alias.build++``
-    reads ``trilliong_gen_alias_build_`` rather than sprouting one
+    anything else collapse to a single ``_`` so ``gen.table.build++``
+    reads ``trilliong_gen_table_build_`` rather than sprouting one
     underscore per bad character.  The ``trilliong_`` prefix also
     guarantees the first character is legal.
     """

@@ -1,6 +1,6 @@
-"""Cross-engine distributional agreement.
+"""Cross-sampler distributional agreement.
 
-The three engines (reference / vectorized / bitwise) implement the same
+The three samplers (reference / recvec / bitwise) implement the same
 stochastic process by different means; these tests verify their outputs are
 statistically indistinguishable (chi-square on destination histograms) and
 that the process matches the exact conditional distribution P(v | u).
@@ -18,8 +18,8 @@ from repro.core.seed import GRAPH500, SeedMatrix
 FIG3 = SeedMatrix.rmat(0.5, 0.2, 0.2, 0.1)
 
 
-def destination_histogram(engine: str, scale: int, seed: int) -> np.ndarray:
-    g = RecursiveVectorGenerator(scale, 16, seed=seed, engine=engine)
+def destination_histogram(sampler: str, scale: int, seed: int) -> np.ndarray:
+    g = RecursiveVectorGenerator(scale, 16, seed=seed, sampler=sampler)
     e = g.edges()
     return np.bincount(e[:, 1], minlength=1 << scale)
 
@@ -67,8 +67,8 @@ class TestSamplerMatchesExactDistribution:
 class TestEnginesAgree:
     @pytest.mark.parametrize("other", ["bitwise", "reference"])
     def test_destination_distributions_match(self, other):
-        """Two-sample chi-square between engines' destination histograms."""
-        h1 = destination_histogram("vectorized", 9, seed=100)
+        """Two-sample chi-square between samplers' destination histograms."""
+        h1 = destination_histogram("recvec", 9, seed=100)
         h2 = destination_histogram(other, 9, seed=200)
         # Pool cells with small expectation.
         keep = (h1 + h2) > 20
@@ -81,8 +81,8 @@ class TestEnginesAgree:
         assert sps.chi2.sf(chi2, dof) > 1e-4
 
     def test_out_degree_distributions_match(self):
-        g1 = RecursiveVectorGenerator(10, 16, seed=300, engine="vectorized")
-        g2 = RecursiveVectorGenerator(10, 16, seed=301, engine="bitwise")
+        g1 = RecursiveVectorGenerator(10, 16, seed=300, sampler="recvec")
+        g2 = RecursiveVectorGenerator(10, 16, seed=301, sampler="bitwise")
         d1 = np.bincount(g1.edges()[:, 0], minlength=1024)
         d2 = np.bincount(g2.edges()[:, 0], minlength=1024)
         # Kolmogorov-Smirnov on the degree samples.

@@ -1,4 +1,4 @@
-"""Unit tests for repro.core.generator (the AVS engine, Algorithms 4-5)."""
+"""Unit tests for repro.core.generator (the AVS generator, Algorithms 4-5)."""
 
 import numpy as np
 import pytest
@@ -31,8 +31,30 @@ class TestConstruction:
             RecursiveVectorGenerator(8, direction="sideways")
 
     def test_rejects_bad_engine(self):
+        # ``sampler`` is the only name for the choice: no ``engine`` shim.
+        with pytest.raises(TypeError):
+            RecursiveVectorGenerator(8, engine="recvec")
+
+    def test_rejects_unknown_sampler(self):
+        with pytest.raises(ConfigurationError, match="huffman"):
+            RecursiveVectorGenerator(8, 4, sampler="huffman")
         with pytest.raises(ConfigurationError):
-            RecursiveVectorGenerator(8, engine="quantum")
+            RecursiveVectorGenerator(8, 4, sampler="alias")
+
+    @pytest.mark.parametrize("sampler", ["recvec", "bitwise"])
+    def test_rejects_idea_toggles_the_sampler_would_ignore(self, sampler):
+        with pytest.raises(ConfigurationError, match=repr(sampler)):
+            RecursiveVectorGenerator(8, 4, sampler=sampler,
+                                     ideas=IdeaToggles.all_off())
+        # The default toggles are what the batched samplers embody.
+        RecursiveVectorGenerator(8, 4, sampler=sampler, ideas=IdeaToggles())
+        RecursiveVectorGenerator(8, 4, sampler="reference",
+                                 ideas=IdeaToggles.all_off())
+
+    @pytest.mark.parametrize("sampler", ["recvec", "bitwise", "reference"])
+    def test_sampler_name_round_trips(self, sampler):
+        assert RecursiveVectorGenerator(8, 4, sampler=sampler).sampler == \
+            sampler
 
     def test_rejects_bad_block_size(self):
         with pytest.raises(ConfigurationError):
@@ -166,7 +188,7 @@ class TestDirections:
 
 class TestEnginesAndIdeas:
     def test_reference_engine_runs(self):
-        g = RecursiveVectorGenerator(8, 8, seed=31, engine="reference")
+        g = RecursiveVectorGenerator(8, 8, seed=31, sampler="reference")
         e = g.edges()
         assert e.shape[0] > 1500
 
@@ -178,7 +200,7 @@ class TestEnginesAndIdeas:
             for i2 in (False, True):
                 for i3 in (False, True):
                     g = RecursiveVectorGenerator(
-                        8, 8, seed=32, engine="reference",
+                        8, 8, seed=32, sampler="reference",
                         ideas=IdeaToggles(i1, i2, i3))
                     e = g.edges()
                     packed = e[:, 0] * 256 + e[:, 1]
@@ -187,18 +209,18 @@ class TestEnginesAndIdeas:
         assert max(sizes) - min(sizes) < 0.2 * max(sizes)
 
     def test_idea1_off_rebuilds_recvec(self):
-        on = RecursiveVectorGenerator(7, 8, seed=33, engine="reference",
+        on = RecursiveVectorGenerator(7, 8, seed=33, sampler="reference",
                                       ideas=IdeaToggles(True, True, True))
-        off = RecursiveVectorGenerator(7, 8, seed=33, engine="reference",
+        off = RecursiveVectorGenerator(7, 8, seed=33, sampler="reference",
                                        ideas=IdeaToggles(False, True, True))
         on.edges()
         off.edges()
         assert off.stats.recvec_builds > 2 * on.stats.recvec_builds
 
     def test_idea2_off_recurses_per_level(self):
-        on = RecursiveVectorGenerator(7, 8, seed=34, engine="reference",
+        on = RecursiveVectorGenerator(7, 8, seed=34, sampler="reference",
                                       ideas=IdeaToggles(True, True, True))
-        off = RecursiveVectorGenerator(7, 8, seed=34, engine="reference",
+        off = RecursiveVectorGenerator(7, 8, seed=34, sampler="reference",
                                        ideas=IdeaToggles(True, False, True))
         on.edges()
         off.edges()
@@ -207,9 +229,9 @@ class TestEnginesAndIdeas:
         assert off.stats.recursion_steps > 2 * on.stats.recursion_steps
 
     def test_idea3_off_draws_more_randoms(self):
-        on = RecursiveVectorGenerator(7, 8, seed=35, engine="reference",
+        on = RecursiveVectorGenerator(7, 8, seed=35, sampler="reference",
                                       ideas=IdeaToggles(True, True, True))
-        off = RecursiveVectorGenerator(7, 8, seed=35, engine="reference",
+        off = RecursiveVectorGenerator(7, 8, seed=35, sampler="reference",
                                        ideas=IdeaToggles(True, True, False))
         on.edges()
         off.edges()
@@ -255,7 +277,7 @@ class TestSaturatedScopes:
         assert np.unique(packed).size == e.shape[0]
 
     def test_reference_engine_saturation(self):
-        g = RecursiveVectorGenerator(6, 32, seed=52, engine="reference")
+        g = RecursiveVectorGenerator(6, 32, seed=52, sampler="reference")
         e = g.edges()
         packed = e[:, 0] * 64 + e[:, 1]
         assert np.unique(packed).size == e.shape[0]
@@ -285,13 +307,13 @@ class TestDegenerateSeedEntries:
     SELF_LOOPS = SeedMatrix.rmat(0.9, 0.0, 0.0, 0.1)   # dest bit == src bit
     ALL_ZERO = SeedMatrix.rmat(0.6, 0.0, 0.4, 0.0)     # dest always 0
 
-    @pytest.mark.parametrize("engine", ["bitwise", "alias"])
-    def test_batched_engines_force_bits(self, engine):
-        g = RecursiveVectorGenerator(6, 2, self.SELF_LOOPS, engine=engine,
+    @pytest.mark.parametrize("sampler", ["bitwise"])
+    def test_batched_engines_force_bits(self, sampler):
+        g = RecursiveVectorGenerator(6, 2, self.SELF_LOOPS, sampler=sampler,
                                      dedup=False, seed=3)
         e = g.edges()
         assert e.size and (e[:, 0] == e[:, 1]).all()
-        g0 = RecursiveVectorGenerator(6, 2, self.ALL_ZERO, engine=engine,
+        g0 = RecursiveVectorGenerator(6, 2, self.ALL_ZERO, sampler=sampler,
                                       dedup=False, seed=3)
         e0 = g0.edges()
         assert e0.size and (e0[:, 1] == 0).all()
@@ -318,7 +340,7 @@ class TestDegenerateSeedEntries:
         ideas = IdeaToggles(reuse_recvec=True, reduce_recursions=False,
                             single_random=single_random)
         g = RecursiveVectorGenerator(6, 2, self.SELF_LOOPS,
-                                     engine="reference", ideas=ideas,
+                                     sampler="reference", ideas=ideas,
                                      dedup=False, seed=3)
         e = g.edges()
         assert e.size and (e[:, 0] == e[:, 1]).all()

@@ -108,7 +108,7 @@ class TestColumnProbability:
 class TestBitProbabilities:
     def test_factorization_reconstructs_conditional(self):
         """P(v|u) must equal the product of per-bit Bernoulli terms —
-        the correctness claim of the bitwise engine."""
+        the correctness claim of the bitwise sampler."""
         levels = 4
         u = 0b1010
         p = destination_bit_probabilities(GRAPH500, u, levels)

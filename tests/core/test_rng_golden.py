@@ -92,28 +92,21 @@ OUTPUT_DIGESTS = {
 NOISE_ADJ6_DIGEST = \
     "ee58f18fb6bd9bfabc1a0660050fe43a1fb549d452d2bc990afd5748db741518"
 
-# Per-sampler adj6 digests at the same configuration.  Each backend is
-# deterministic per (params, seed), but the backends are intentionally
+# Per-sampler adj6 digests at the same configuration.  Each sampler is
+# deterministic per (params, seed), but the samplers are intentionally
 # NOT byte-identical to one another: they consume their edge streams in
-# different shapes (one translation uniform vs. per-level Bernoullis
-# vs. slot/coin/fill batches).  ``recvec`` must stay the default.
+# different shapes (one translation uniform vs. per-level Bernoullis).
+# ``recvec`` must stay the default.
 SAMPLER_ADJ6_DIGESTS = {
     "recvec":
         "94edec94a19eb79196b23943d46d4ddf9130f16e109b6e253f230e7f974574bc",
     "bitwise":
         "54b46034484b9541e723fa0413274458d5af5835792d7d2c239ac6c87635c747",
-    "alias":
-        "d3b53a944821009b1ac2ef838196d5012426832426412c0a3bedfdb6090ffd2c",
 }
 
-# bundle_depth is part of the alias backend's determinism key: a
-# different depth is a different (equally valid) graph.
-ALIAS_DEPTH4_ADJ6_DIGEST = \
-    "c598084bdfa2d730d0e943121c49d30af2f0f215f43a474a9132384a914e5787"
-
-# Edge-array digest of the alias backend, checked both sequentially and
+# Edge-array digest of the bitwise sampler, checked both sequentially and
 # through the distributed runner (workers must honor the sampler).
-ALIAS_EDGE_DIGEST = "84980a12758b04d3"
+BITWISE_EDGE_DIGEST = "55b04457794e06bd"
 
 
 def write_digest(tmp_path, fmt_name, **kwargs):
@@ -150,24 +143,19 @@ def test_default_engine_is_the_recvec_sampler():
     assert SAMPLER_ADJ6_DIGESTS["recvec"] == OUTPUT_DIGESTS["adj6"]
 
 
-def test_alias_bundle_depth_digest_frozen(tmp_path):
-    assert write_digest(tmp_path, "adj6", sampler="alias",
-                        bundle_depth=4) == ALIAS_DEPTH4_ADJ6_DIGEST
-
-
-def test_alias_digest_stable_through_distributed_runner(tmp_path):
-    """Workers rebuild the generator from the picklable recipe; the
-    sampler and bundle depth must survive the round trip and reproduce
-    the sequential bytes exactly."""
+def test_bitwise_digest_stable_through_distributed_runner(tmp_path):
+    """Workers rebuild the generator from the picklable recipe; a
+    non-default sampler must survive the round trip and reproduce the
+    sequential bytes exactly."""
     from repro.dist.runner import LocalCluster
-    gen = RecursiveVectorGenerator(8, 4, seed=42, sampler="alias")
+    gen = RecursiveVectorGenerator(8, 4, seed=42, sampler="bitwise")
     cluster = LocalCluster(num_workers=3)
     res = cluster.generate_to_files(gen, tmp_path / "parts", "adj6",
                                     processes=2)
     dist_edges = cluster.read_all_edges(res, "adj6")
-    assert edge_digest(dist_edges) == ALIAS_EDGE_DIGEST
-    seq = RecursiveVectorGenerator(8, 4, seed=42, sampler="alias")
-    assert edge_digest(seq.edges()) == ALIAS_EDGE_DIGEST
+    assert edge_digest(dist_edges) == BITWISE_EDGE_DIGEST
+    seq = RecursiveVectorGenerator(8, 4, seed=42, sampler="bitwise")
+    assert edge_digest(seq.edges()) == BITWISE_EDGE_DIGEST
 
 
 def test_avs_in_matches_avs_out_for_symmetric_matrix(tmp_path):
@@ -237,10 +225,8 @@ def test_model_edge_digests_frozen():
 TOPUP_BLOCK_DIGESTS = {
     ("recvec", 0.0): "220dd231277b5773",
     ("bitwise", 0.0): "fcf2f349880735d2",
-    ("alias", 0.0): "6601d13506eb0a2f",
     ("recvec", 0.1): "f557c355995a878f",
     ("bitwise", 0.1): "0aa91ca120287fe5",
-    ("alias", 0.1): "95a3bb2249431c79",
 }
 
 # Block 0 of the base-3 generator at depth 8, seed 1 (5 top-up rounds,

@@ -102,7 +102,7 @@ class TestSlowPathCounters:
 
 
 class TestRefusalNamesTheCause:
-    @pytest.mark.parametrize("sampler", ["recvec", "bitwise", "alias"])
+    @pytest.mark.parametrize("sampler", ["recvec", "bitwise"])
     def test_stalled_hub_at_scale_27(self, sampler):
         g = RecursiveVectorGenerator(27, num_edges=200, seed_matrix=SKEWED,
                                      sampler=sampler, block_size=1, seed=0)

@@ -145,8 +145,9 @@ def test_golden_generate_to_reaches_formats_pipeline():
 
 
 def test_golden_nothing_imports_the_deprecated_shims():
-    """The dist shims only exist for out-of-tree callers: the project
-    import graph must show no in-repo module importing them."""
+    """The ``repro.dist`` shims are deleted (the code lives in
+    ``repro.util``): the project import graph must show no in-repo
+    module importing the old paths."""
     summaries = [summarize(p) for p in sorted(SRC_REPRO.rglob("*.py"))]
     project = ProjectModel(summaries, LintConfig())
     shims = {"repro.dist.external_sort", "repro.dist.shuffle"}

@@ -610,7 +610,7 @@ KERNEL_PASS = [
 
 @pytest.mark.parametrize("code", KERNEL_FLAG)
 def test_kernel_vectorization_flags_per_edge_loops(tmp_path, code):
-    for module in ("repro.core.generator", "repro.core.alias"):
+    for module in ("repro.core.generator", "repro.core.topup"):
         found = run(tmp_path, "kernel-vectorization", code, module=module)
         assert codes(found) == ["RPL510"], (module, found)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.generator import RecursiveVectorGenerator
+from repro.core.generator import IdeaToggles, RecursiveVectorGenerator
 from repro.dist.runner import ClusterSpec, DistributedResult, LocalCluster
 
 
@@ -86,6 +86,20 @@ class TestLocalCluster:
         res = cluster.generate_to_files(g, tmp_path, "adj6", processes=2)
         dist_edges = cluster.read_all_edges(res)
         seq = self.make_generator(scale=10, noise=0.1).edges()
+        np.testing.assert_array_equal(sort_edges(dist_edges),
+                                      sort_edges(seq))
+
+    def test_idea_toggles_reach_the_workers(self, tmp_path):
+        """The reference sampler's Idea toggles are part of the recipe
+        the workers rebuild the generator from: an ablation run writes
+        the same graph through the cluster as sequentially."""
+        kw = dict(scale=7, edge_factor=4, seed=1, sampler="reference",
+                  ideas=IdeaToggles.all_off())
+        cluster = LocalCluster(num_workers=2)
+        res = cluster.generate_to_files(self.make_generator(**kw), tmp_path,
+                                        "adj6", processes=2)
+        dist_edges = cluster.read_all_edges(res, "adj6")
+        seq = self.make_generator(**kw).edges()
         np.testing.assert_array_equal(sort_edges(dist_edges),
                                       sort_edges(seq))
 

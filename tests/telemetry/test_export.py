@@ -71,7 +71,7 @@ _SAMPLE = re.compile(
 def test_prometheus_names_stay_legal_for_hostile_inputs():
     reg = global_registry()
     # Real metric families under names the sanitizer must rewrite.
-    reg.counter("gen.alias.build++").inc(2)
+    reg.counter("gen.table.build++").inc(2)
     reg.counter("a..b").inc(1)
     reg.gauge("weird-name!.depth").set(4)
     reg.histogram("päth.größe", bounds=(1.0,)).observe(0.5)
@@ -83,7 +83,7 @@ def test_prometheus_names_stay_legal_for_hostile_inputs():
         else:
             assert _SAMPLE.match(line), line
     # Runs of illegal characters collapse to one underscore each.
-    assert "trilliong_gen_alias_build_ 2" in text
+    assert "trilliong_gen_table_build_ 2" in text
     assert "trilliong_a_b 1" in text
     assert "trilliong_weird_name_depth 4" in text
     assert "trilliong_p_th_gr_e_count 1" in text

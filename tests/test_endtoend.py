@@ -105,11 +105,11 @@ class TestRichGraphPipeline:
 
 
 class TestCrossEngineEndToEnd:
-    @pytest.mark.parametrize("engine", ["vectorized", "bitwise"])
-    def test_any_engine_through_full_stack(self, engine, tmp_path):
-        g = RecursiveVectorGenerator(10, 16, seed=107, engine=engine)
+    @pytest.mark.parametrize("sampler", ["recvec", "bitwise"])
+    def test_any_engine_through_full_stack(self, sampler, tmp_path):
+        g = RecursiveVectorGenerator(10, 16, seed=107, sampler=sampler)
         fmt = get_format("adj6")
-        res = fmt.write(tmp_path / f"{engine}.adj6", g.iter_adjacency(),
+        res = fmt.write(tmp_path / f"{sampler}.adj6", g.iter_adjacency(),
                         g.num_vertices)
         edges = fmt.read_edges(res.path)
         assert validate_edges(edges, 1024, seed_matrix=GRAPH500,

@@ -87,9 +87,9 @@ class TestGraphScaler:
 
     def test_generator_passthrough(self, scaler):
         s, _ = scaler
-        g = s.generator(11, seed=8, noise=0.1, engine="bitwise")
+        g = s.generator(11, seed=8, noise=0.1, sampler="bitwise")
         assert g.noise == 0.1
-        assert g.engine == "bitwise"
+        assert g.sampler == "bitwise"
         assert g.edges().shape[0] > 0
 
     def test_rejects_bad_scale(self, scaler):

@@ -159,13 +159,13 @@ def test_noise_keeps_graph_wellformed(config, noise_fraction):
 @settings(max_examples=10, deadline=None)
 @given(generator_configs())
 def test_engines_preserve_edge_budget(config):
-    """All engines respect the realized-degree sequence exactly (they
-    share the Theorem 1 draws)."""
+    """All batched samplers respect the realized-degree sequence exactly
+    (they share the Theorem 1 draws)."""
     counts = {}
-    for engine in ("vectorized", "bitwise"):
-        g = RecursiveVectorGenerator(engine=engine, **config)
-        counts[engine] = np.bincount(g.edges()[:, 0],
-                                     minlength=g.num_vertices) \
+    for sampler in ("recvec", "bitwise"):
+        g = RecursiveVectorGenerator(sampler=sampler, **config)
+        counts[sampler] = np.bincount(g.edges()[:, 0],
+                                      minlength=g.num_vertices) \
             if g.edges().shape[0] else np.zeros(g.num_vertices)
-    np.testing.assert_array_equal(counts["vectorized"],
+    np.testing.assert_array_equal(counts["recvec"],
                                   counts["bitwise"])
