@@ -260,3 +260,48 @@ def test_nary_block_digest_frozen():
                                  [0.08, 0.05, 0.10]]))
     gen = NAryRecursiveVectorGenerator(seed3, 8, seed=1)
     assert edge_digest(gen.generate_block(0)) == NARY_BLOCK_DIGEST
+
+
+# -- external-memory baselines at scale 14 -------------------------------
+
+# WES/p-disk and RMAT-disk at scale 14, edge factor 16, batch_edges=2048:
+# over a hundred spill runs against the default fan-in of 16, so the
+# merge runs intermediate passes and every merge chunk boundary is
+# regrouped into blocks.  The scale-8 MODEL_DIGESTS above spill a single
+# run.  Each digest covers the ADJ6 bytes, ``duplicates_discarded`` and
+# ``realized_edges``.
+DISK_MODEL_DIGESTS = {
+    ("RMAT/p-disk", 1): "e892e711cdc398a7",
+    ("RMAT/p-disk", 7): "5f95cbe37505aaa7",
+    ("RMAT-disk", 1): "f188870aaf522393",
+    ("RMAT-disk", 7): "67544de7ebf2aef9",
+}
+
+# ``run_wesp_distributed`` at scale 14, 2 workers, seed 1, ADJ6 parts:
+# the part bytes in reducer order followed by the edge count.
+WESP_DISTRIBUTED_DIGEST = "8140c86344c04c0f"
+
+
+def test_disk_model_digests_frozen(tmp_path):
+    for (key, seed), expected in DISK_MODEL_DIGESTS.items():
+        gen = ALL_MODELS[key](scale=14, edge_factor=16, seed=seed,
+                              batch_edges=2048)
+        path = tmp_path / f"{seed}.adj6"
+        gen.write_to(path, "adj6")
+        h = hashlib.sha256(path.read_bytes())
+        h.update(str(gen.report.duplicates_discarded).encode())
+        h.update(str(gen.report.realized_edges).encode())
+        assert h.hexdigest()[:16] == expected, \
+            f"{key!r} output drifted for (scale=14, seed={seed})"
+
+
+def test_wesp_distributed_digest_frozen(tmp_path):
+    from repro.dist.wesp_runner import run_wesp_distributed
+    res = run_wesp_distributed(14, 16, num_workers=2, seed=1,
+                               work_dir=tmp_path, fmt_name="adj6",
+                               processes=2)
+    h = hashlib.sha256()
+    for path in res.part_paths:
+        h.update(path.read_bytes())
+    h.update(str(res.num_edges).encode())
+    assert h.hexdigest()[:16] == WESP_DISTRIBUTED_DIGEST
