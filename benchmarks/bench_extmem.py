@@ -14,6 +14,11 @@ whole-array external sort; these benchmarks keep it honest:
   peak-RSS cap, and ``resource.getrusage`` must show the process never
   grew past the cap while ``extsort.spill_bytes`` shows the volume
   really went through disk.
+- ``test_wesp_disk_generator_rss_cap`` is the same proof one layer up:
+  ``WespDiskGenerator(18, 16, seed=1).write_to(..., "adj6")`` at
+  default settings, in a fresh process, must stay under
+  ``WESP_RSS_CAP_BYTES``.  Driving ``SpillStore`` directly cannot see a
+  generator whose default merge chunk buffers every run whole.
 - ``test_emit_bench_json`` writes ``BENCH_extmem.json`` at the repo
   root so later PRs have an engine-perf trajectory to compare against.
 """
@@ -43,6 +48,12 @@ SEED = 23
 #: Hard peak-RSS cap for the proof run (bytes) — the merge must move
 #: several times this volume through disk without ever holding it.
 RSS_CAP_BYTES = 256 * 1024 * 1024
+
+#: Peak-RSS cap of the WES/p-disk generator proof run (bytes): measured
+#: 68-69 MiB on a 2-core x86-64 Linux host (numpy 2.x); the margin
+#: absorbs allocator and numpy differences.  A merge that buffers each
+#: spill run whole peaks at ~268 MiB and fails.
+WESP_RSS_CAP_BYTES = 128 * 1024 * 1024
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,13 +139,29 @@ def _rss_proof_code(work_dir):
     )
 
 
-def _run_rss_proof():
+def _wesp_rss_code(work_dir):
+    """Script for the fresh-process WES/p-disk generator RSS run."""
+    return (
+        "import json, resource, sys\n"
+        "from pathlib import Path\n"
+        "from repro.models import WespDiskGenerator\n"
+        f"work = Path({str(work_dir)!r})\n"
+        f"gen = WespDiskGenerator({SMOKE_SCALE}, {EDGE_FACTOR}, seed=1,\n"
+        "                        spill_dir=str(work))\n"
+        "result = gen.write_to(work / 'graph.adj6', 'adj6')\n"
+        "rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "json.dump({'edges': int(result.num_edges),\n"
+        "           'rss_bytes': rss_kb * 1024}, sys.stdout)\n"
+    )
+
+
+def _run_rss_proof(code=_rss_proof_code):
     import repro
 
     src = str(Path(repro.__file__).resolve().parents[1])
     with tempfile.TemporaryDirectory(prefix="bench-extmem-rss-") as work:
         out = subprocess.run(
-            [sys.executable, "-c", _rss_proof_code(work)],
+            [sys.executable, "-c", code(work)],
             env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
             capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
@@ -174,6 +201,22 @@ def test_spill_exceeds_rss_cap(table):
         f"peak RSS {proof['rss_bytes'] / 2**20:.0f} MiB breached the "
         f"{RSS_CAP_BYTES / 2**20:.0f} MiB cap: the merge is no longer "
         "memory-bounded")
+
+
+def test_wesp_disk_generator_rss_cap(table):
+    """Bounded-memory proof at the generator level: WES/p-disk at scale
+    18 and default settings stays under ``WESP_RSS_CAP_BYTES``."""
+    proof = _run_rss_proof(_wesp_rss_code)
+    table(f"WES/p-disk generator RSS (scale {SMOKE_SCALE}, fresh process)",
+          ["metric", "value"],
+          [["peak RSS", f"{proof['rss_bytes'] / 2**20:,.0f} MiB"],
+           ["RSS cap", f"{WESP_RSS_CAP_BYTES / 2**20:,.0f} MiB"],
+           ["edges", f"{proof['edges']:,}"]])
+    assert proof["edges"] > 0
+    assert proof["rss_bytes"] < WESP_RSS_CAP_BYTES, (
+        f"WES/p-disk peaked at {proof['rss_bytes'] / 2**20:.0f} MiB, over "
+        f"the {WESP_RSS_CAP_BYTES / 2**20:.0f} MiB cap: its merge no "
+        "longer streams at default settings")
 
 
 def test_streaming_identical_to_in_memory_small_scale():

@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(bounds merge memory)")
     baseline.add_argument("--spill-chunk", type=int, default=None,
                           help="disk models: keys per merge-read chunk "
-                               "(default: one generation batch)")
+                               "(default: batch_edges // fan_in, so one "
+                               "merge buffers about one generation batch)")
 
     analyze = sub.add_parser(
         "analyze", help="print realism metrics for a graph file")

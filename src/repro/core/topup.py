@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ..telemetry import registry
+from ..util.external_sort import sorted_unique
 
 __all__ = [
     "MAX_TOPUP_ROUNDS",
@@ -69,7 +70,7 @@ def dedup_topup(degrees: np.ndarray, span: np.int64,
     rows += dests
     del dests
     rows.sort()
-    keys = _sorted_unique(rows)
+    keys = sorted_unique(rows)
     duplicates = rows.size - keys.size
     del rows
     bounds = np.arange(degrees.size + 1, dtype=np.int64) * span
@@ -86,7 +87,7 @@ def dedup_topup(degrees: np.ndarray, span: np.int64,
         candidates = refill * span
         candidates += sample(refill)
         candidates.sort()
-        candidates = _sorted_unique(candidates)
+        candidates = sorted_unique(candidates)
         fresh = candidates[~(_contains(keys, candidates)
                              | _contains(side, candidates))]
         duplicates += refill.size - fresh.size
@@ -132,17 +133,6 @@ def _contains(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(sorted_keys, queries)
     np.minimum(pos, sorted_keys.size - 1, out=pos)
     return sorted_keys[pos] == queries
-
-
-def _sorted_unique(sorted_keys: np.ndarray) -> np.ndarray:
-    """Deduplicate an already-sorted int array (avoids np.unique's
-    re-sort)."""
-    if sorted_keys.size <= 1:
-        return sorted_keys
-    keep = np.empty(sorted_keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
-    return sorted_keys[keep]
 
 
 def record_exact_fallback(pmf_bytes: int) -> None:

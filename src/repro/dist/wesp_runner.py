@@ -34,10 +34,10 @@ from ..core.rng import stream
 from ..core.seed import SeedMatrix
 from ..telemetry import span
 from ..formats import blocks_from_sorted_keys, get_format
-from ..models.rmat import rmat_edge_batch
+from ..models.wesp import local_key_set
 from ..util.external_sort import (DEFAULT_CHUNK_ITEMS, DEFAULT_FAN_IN,
                                   iter_unique_keys, write_run)
-from ..util.shuffle import hash_partition
+from ..util.shuffle import partition_slices
 from ..util.spill import fsync_dir
 from .faults import FaultPlan, RetryPolicy, pick_start_method, run_tasks
 
@@ -69,15 +69,15 @@ def _map_task(args: tuple) -> list[str]:
     (worker, scale, num_edges, seed_entries, seed, num_workers, epsilon,
      shuffle_dir) = args
     seed_matrix = SeedMatrix(np.array(seed_entries))
-    num_vertices = 1 << scale
     per_worker = int(np.ceil(num_edges / num_workers * (1 + epsilon)))
-    rng = stream(seed, _TAG_WORKER, worker)
-    batch = rmat_edge_batch(seed_matrix, scale, per_worker, rng)
-    keys = np.unique(batch[:, 0] * np.int64(num_vertices) + batch[:, 1])
+    keys = local_key_set(seed_matrix, scale, per_worker,
+                         stream(seed, _TAG_WORKER, worker))
+    # A stable partition of sorted keys leaves every slice sorted.
+    grouped, offsets = partition_slices(keys, num_workers)
     paths = []
-    for reducer, part in enumerate(hash_partition(keys, num_workers)):
+    for reducer in range(num_workers):
         path = Path(shuffle_dir) / f"map{worker:03d}-red{reducer:03d}.run"
-        write_run(np.sort(part), path)
+        write_run(grouped[offsets[reducer]:offsets[reducer + 1]], path)
         paths.append(str(path))
     return paths
 

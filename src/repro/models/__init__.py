@@ -8,7 +8,8 @@ from .erdos_renyi import ErdosRenyiGenerator
 from .fast_kronecker import FastKroneckerGenerator, fast_kronecker_edge_batch
 from .graph500 import Graph500Generator, scramble_vertices
 from .kronecker import KroneckerAesGenerator
-from .rmat import RmatDiskGenerator, RmatMemGenerator, rmat_edge_batch
+from .rmat import (RmatDiskGenerator, RmatMemGenerator, rmat_edge_batch,
+                   rmat_key_batch)
 from .teg import TegGenerator
 from .wesp import WespDiskGenerator, WespMemGenerator
 
@@ -29,6 +30,6 @@ __all__ = [
     "ErdosRenyiGenerator", "FastKroneckerGenerator",
     "fast_kronecker_edge_batch", "Graph500Generator", "scramble_vertices",
     "KroneckerAesGenerator", "RmatDiskGenerator", "RmatMemGenerator",
-    "rmat_edge_batch", "TegGenerator", "WespDiskGenerator",
+    "rmat_edge_batch", "rmat_key_batch", "TegGenerator", "WespDiskGenerator",
     "WespMemGenerator", "ALL_MODELS",
 ]

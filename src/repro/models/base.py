@@ -21,6 +21,7 @@ from ..contracts import check_seed_matrix
 from ..core.rng import stream
 from ..core.seed import GRAPH500, SeedMatrix
 from ..errors import ConfigurationError, OutOfMemoryError
+from ..util.external_sort import sorted_unique
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -241,9 +242,6 @@ def dedup_edges(edges: np.ndarray, num_vertices: int
     if edges.shape[0] == 0:
         return edges, 0
     keys = np.sort(edges[:, 0] * np.int64(num_vertices) + edges[:, 1])
-    keep = np.empty(keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    unique = keys[keep]
+    unique = sorted_unique(keys)
     n = np.int64(num_vertices)
     return np.column_stack([unique // n, unique % n]), keys.size - unique.size

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GenerationError
+from ..util.external_sort import sorted_unique
 from .base import (BYTES_PER_EDGE_IN_MEMORY, Complexity, ScopeBasedGenerator)
 
 __all__ = ["ErdosRenyiGenerator"]
@@ -36,10 +37,7 @@ class ErdosRenyiGenerator(ScopeBasedGenerator):
                 new = rng.integers(0, n * n, size=shortfall,
                                    dtype=np.int64)
                 merged = np.sort(np.concatenate([keys, new]))
-                keep = np.empty(merged.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-                unique = merged[keep]
+                unique = sorted_unique(merged)
                 report.duplicates_discarded += merged.size - unique.size
                 keys = unique
                 shortfall = self.num_edges - keys.size

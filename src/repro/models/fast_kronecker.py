@@ -12,6 +12,7 @@ import numpy as np
 
 from ..core.seed import SeedMatrix
 from ..errors import ConfigurationError, GenerationError
+from ..util.external_sort import sorted_unique
 from .base import (BYTES_PER_EDGE_IN_MEMORY, Complexity, ScopeBasedGenerator)
 
 __all__ = ["fast_kronecker_edge_batch", "FastKroneckerGenerator"]
@@ -80,10 +81,7 @@ class FastKroneckerGenerator(ScopeBasedGenerator):
                     self.seed_matrix, self.depth, shortfall, rng)
                 new = np.sort(self.pack_edges(batch))
                 merged = np.sort(np.concatenate([keys, new]))
-                keep = np.empty(merged.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-                unique = merged[keep]
+                unique = sorted_unique(merged)
                 report.duplicates_discarded += merged.size - unique.size
                 keys = unique
                 shortfall = self.num_edges - keys.size

@@ -23,16 +23,26 @@ from typing import Iterator
 
 import numpy as np
 
-from ..util.external_sort import DEFAULT_FAN_IN
-from ..util.shuffle import hash_partition
+from ..util.external_sort import (DEFAULT_FAN_IN, merge_chunk_items,
+                                  sorted_unique)
+from ..util.shuffle import partition_slices
 from ..util.spill import SpillStore
 from .base import (BYTES_PER_EDGE_IN_MEMORY, Complexity, ScopeBasedGenerator,
                    StreamingDedupMixin)
-from .rmat import rmat_edge_batch
+from .rmat import rmat_key_batch
 
-__all__ = ["WespMemGenerator", "WespDiskGenerator"]
+__all__ = ["local_key_set", "WespMemGenerator", "WespDiskGenerator"]
 
 _TAG_WORKER = 7
+
+
+def local_key_set(seed_matrix, scale: int, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Algorithm 3 lines 1-6 for one worker: ``count`` RMAT draws over
+    the whole matrix as sorted, duplicate-free packed keys."""
+    keys = rmat_key_batch(seed_matrix, scale, count, rng)
+    keys.sort()
+    return sorted_unique(keys)
 
 
 class _WespBase(ScopeBasedGenerator):
@@ -46,46 +56,40 @@ class _WespBase(ScopeBasedGenerator):
         self.num_workers = num_workers
         self.epsilon = epsilon
 
-    def _generate_local_sets(self) -> list[np.ndarray]:
-        """Algorithm 3 lines 1-6: each worker's local (deduplicated) edge
-        key set of target size |E|/P * (1 + epsilon)."""
-        per_worker = int(np.ceil(self.num_edges / self.num_workers
-                                 * (1 + self.epsilon)))
-        local_sets = []
-        for worker in range(self.num_workers):
-            rng = self.rng(_TAG_WORKER, worker)
-            batch = rmat_edge_batch(self.seed_matrix, self.scale,
-                                    per_worker, rng)
-            keys = np.sort(self.pack_edges(batch))
-            keep = np.empty(keys.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            unique = keys[keep]
-            self.report.duplicates_discarded += keys.size - unique.size
-            local_sets.append(unique)
-        return local_sets
+    @property
+    def per_worker(self) -> int:
+        """Edges each worker draws: ``|E|/P * (1 + epsilon)``."""
+        return int(np.ceil(self.num_edges / self.num_workers
+                           * (1 + self.epsilon)))
 
-    def _shuffle(self, local_sets: list[np.ndarray]) -> list[np.ndarray]:
-        """Algorithm 3 line 7: hash-shuffle local sets across workers.
+    def _map(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Algorithm 3 lines 1-7, one logical worker at a time.
 
-        Returns per-destination-worker partitions; also records the skew
-        the paper blames for WES/p's scaling wall.
+        Each worker draws its edges, deduplicates them locally (lines
+        1-6, the ``generate`` phase) and hash-partitions the sorted local
+        set (line 7, the ``shuffle`` phase).  Yields ``(grouped,
+        offsets)`` from :func:`~repro.util.shuffle.partition_slices`:
+        the partition is stable, so every reducer's slice is already
+        sorted.  Local duplicates are not counted here; callers derive
+        them from :attr:`per_worker`.  After the last worker, records the
+        reducer-side partition skew the paper blames for WES/p's scaling
+        wall.
         """
-        partitions: list[list[np.ndarray]] = [
-            [] for _ in range(self.num_workers)]
-        for keys in local_sets:
-            parts = hash_partition(keys, self.num_workers)
-            for w, part in enumerate(parts):
-                partitions[w].append(part)
-        merged = [np.concatenate(parts) if parts else
-                  np.empty(0, dtype=np.int64) for parts in partitions]
-        sizes = np.array([m.size for m in merged], dtype=np.float64)
-        if sizes.sum() > 0:
-            self.report.phase_seconds.setdefault("shuffle", 0.0)
-            self.skew = float(sizes.max() / max(sizes.mean(), 1.0))
-        else:
-            self.skew = 1.0
-        return merged
+        report = self.report
+        sizes = np.zeros(self.num_workers, dtype=np.int64)
+        for worker in range(self.num_workers):
+            with report.time_phase("generate"):
+                local = local_key_set(self.seed_matrix, self.scale,
+                                      self.per_worker,
+                                      self.rng(_TAG_WORKER, worker))
+            with report.time_phase("shuffle"):
+                grouped, offsets = partition_slices(local, self.num_workers)
+                del local
+            sizes += np.diff(offsets)
+            yield grouped, offsets
+            del grouped
+        self.skew = (float(sizes.max() / max(sizes.mean(), 1.0))
+                     if sizes.sum() > 0 else 1.0)
 
 
 class WespMemGenerator(_WespBase):
@@ -105,25 +109,23 @@ class WespMemGenerator(_WespBase):
     def generate(self) -> np.ndarray:
         self.check_memory_budget()
         report = self.report
-        with report.time_phase("generate"):
-            local_sets = self._generate_local_sets()
-        with report.time_phase("shuffle"):
-            partitions = self._shuffle(local_sets)
+        partitions: list[list[np.ndarray]] = [
+            [] for _ in range(self.num_workers)]
+        for grouped, offsets in self._map():
+            for w, parts in enumerate(partitions):
+                parts.append(grouped[offsets[w]:offsets[w + 1]])
         with report.time_phase("merge"):
             merged_parts = []
             peak = 0
-            for part in partitions:
-                keys = np.sort(part)
+            for parts in partitions:
+                keys = np.sort(np.concatenate(parts))
                 if keys.size:
-                    keep = np.empty(keys.size, dtype=bool)
-                    keep[0] = True
-                    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-                    unique = keys[keep]
-                    report.duplicates_discarded += keys.size - unique.size
-                    merged_parts.append(unique)
+                    merged_parts.append(sorted_unique(keys))
                     peak = max(peak, keys.size * BYTES_PER_EDGE_IN_MEMORY)
         keys = np.sort(np.concatenate(merged_parts)) if merged_parts \
             else np.empty(0, dtype=np.int64)
+        report.duplicates_discarded += (
+            self.per_worker * self.num_workers - keys.size)
         report.realized_edges = keys.size
         report.peak_memory_bytes = peak
         return self.unpack_edges(keys)
@@ -132,12 +134,16 @@ class WespMemGenerator(_WespBase):
 class WespDiskGenerator(StreamingDedupMixin, _WespBase):
     """WES/p with external-sort merge (the paper's RMAT/p-disk).
 
-    Every partition's batches are spilled as sorted runs and *one*
-    global bounded-fan-in merge streams the deduplicated union — the
-    sorted union over all partitions equals the sorted union over all
-    local sets, so the output is identical to
-    :class:`WespMemGenerator` while peak merge memory stays at
-    ``O(fan_in * spill_chunk)`` keys.
+    Each logical worker in turn generates and locally deduplicates its
+    keys, hash-partitions them, and spills every reducer's (already
+    sorted) slice as runs of at most ``batch_edges`` keys — the shape of
+    :func:`repro.dist.wesp_runner._map_task`.  *One* global
+    bounded-fan-in merge then streams the deduplicated union: the sorted
+    union over all partitions equals the sorted union over all local
+    sets, so the output is identical to :class:`WespMemGenerator`.  The
+    map holds one worker's local set (``|E|/P`` keys) at a time; the
+    merge reads ``spill_chunk`` keys per run (default
+    ``batch_edges // fan_in``), so it holds ``O(batch_edges)`` keys.
     """
 
     name = "RMAT/p-disk"
@@ -152,7 +158,8 @@ class WespDiskGenerator(StreamingDedupMixin, _WespBase):
         self.batch_edges = batch_edges
         self.spill_dir = spill_dir
         self.fan_in = fan_in
-        #: Keys per merge-read chunk; defaults to one spill batch.
+        #: Keys per merge-read chunk; defaults to
+        #: ``batch_edges // fan_in`` (see :func:`merge_chunk_items`).
         self.spill_chunk = spill_chunk
 
     def estimated_peak_bytes(self) -> int:
@@ -161,25 +168,25 @@ class WespDiskGenerator(StreamingDedupMixin, _WespBase):
     def iter_unique_key_chunks(self) -> Iterator[np.ndarray]:
         self.check_memory_budget()
         report = self.report
-        chunk_items = self.spill_chunk or self.batch_edges
-        with report.time_phase("generate"):
-            local_sets = self._generate_local_sets()
-        with report.time_phase("shuffle"):
-            partitions = self._shuffle(local_sets)
-        del local_sets
-        before = sum(int(p.size) for p in partitions)
+        chunk_items = merge_chunk_items(self.spill_chunk, self.batch_edges,
+                                        self.fan_in)
         emitted = 0
         with tempfile.TemporaryDirectory(dir=self.spill_dir) as tmp:
+            store = SpillStore(tmp)
+            for grouped, offsets in self._map():
+                with report.time_phase("merge"):
+                    for w in range(self.num_workers):
+                        for j in range(offsets[w], offsets[w + 1],
+                                       self.batch_edges):
+                            store.add_run(grouped[j:min(
+                                j + self.batch_edges, offsets[w + 1])])
+                del grouped
             with report.time_phase("merge"):
-                store = SpillStore(tmp)
-                for part in partitions:
-                    for j in range(0, part.size, self.batch_edges):
-                        store.add_run(np.sort(part[j:j + self.batch_edges]))
-                del partitions
                 for chunk in store.iter_unique(chunk_items=chunk_items,
                                                fan_in=self.fan_in):
                     emitted += int(chunk.size)
                     yield chunk
-        report.duplicates_discarded += before - emitted
+        report.duplicates_discarded += (
+            self.per_worker * self.num_workers - emitted)
         report.realized_edges = emitted
         report.peak_memory_bytes = self.estimated_peak_bytes()

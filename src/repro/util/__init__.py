@@ -10,7 +10,8 @@ distributed runners (``dist``) share.
 
 from .external_sort import (DEFAULT_CHUNK_ITEMS, DEFAULT_FAN_IN, MergePlan,
                             collect_chunks, external_sort_unique,
-                            iter_unique_keys, merge_sorted_runs, write_run)
+                            iter_unique_keys, merge_chunk_items,
+                            merge_sorted_runs, sorted_unique, write_run)
 from .shuffle import (hash_partition, mix64, partition_sizes,
                       partition_slices)
 from .spill import SpillStore, fsync_dir, fsync_file, write_run_chunks
@@ -18,7 +19,8 @@ from .spill import SpillStore, fsync_dir, fsync_file, write_run_chunks
 __all__ = [
     "DEFAULT_CHUNK_ITEMS", "DEFAULT_FAN_IN", "MergePlan",
     "collect_chunks", "external_sort_unique", "iter_unique_keys",
-    "merge_sorted_runs", "write_run", "write_run_chunks",
+    "merge_chunk_items", "merge_sorted_runs", "sorted_unique",
+    "write_run", "write_run_chunks",
     "SpillStore", "fsync_file", "fsync_dir",
     "hash_partition", "mix64", "partition_sizes", "partition_slices",
 ]

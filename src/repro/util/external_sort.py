@@ -51,13 +51,36 @@ from ..telemetry import Stopwatch, registry
 from .spill import fsync_dir, write_run, write_run_chunks
 
 __all__ = ["DEFAULT_CHUNK_ITEMS", "DEFAULT_FAN_IN", "MergePlan",
-           "write_run", "merge_sorted_runs", "iter_unique_keys",
-           "collect_chunks", "external_sort_unique"]
+           "write_run", "sorted_unique", "merge_chunk_items",
+           "merge_sorted_runs", "iter_unique_keys", "collect_chunks",
+           "external_sort_unique"]
 
 #: Keys buffered per run by the merge (512 KiB of int64 per reader).
 DEFAULT_CHUNK_ITEMS = 1 << 16
 #: Runs merged at once before an intermediate pass is triggered.
 DEFAULT_FAN_IN = 16
+
+
+def sorted_unique(sorted_keys: np.ndarray) -> np.ndarray:
+    """Drop repeats from an already-sorted key array (one mask pass, no
+    re-sort as ``np.unique`` would do)."""
+    if sorted_keys.size <= 1:
+        return sorted_keys
+    keep = np.empty(sorted_keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
+    return sorted_keys[keep]
+
+
+def merge_chunk_items(spill_chunk: int | None, batch_edges: int,
+                      fan_in: int) -> int:
+    """Keys per run read by a spilling generator's merge.
+
+    An explicit ``spill_chunk`` wins; otherwise ``batch_edges // fan_in``,
+    so the ``fan_in`` runs of one merge buffer about one generation
+    batch between them and no merged chunk exceeds ``batch_edges``.
+    """
+    return spill_chunk or max(1, batch_edges // fan_in)
 
 
 class _RunReader:
@@ -265,11 +288,8 @@ def merge_sorted_runs(paths: Iterable[Path],
                     refill(idx)
             # The concatenation is k already-sorted runs — timsort's
             # best case, and far faster than hash-based np.unique.
-            merged = np.sort(np.concatenate(parts), kind="stable")
-            keep = np.empty(merged.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            merged = merged[keep]
+            merged = sorted_unique(np.sort(np.concatenate(parts),
+                                           kind="stable"))
             if last_emitted is not None:
                 start = int(np.searchsorted(merged, last_emitted,
                                             side="right"))

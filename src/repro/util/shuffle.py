@@ -49,7 +49,10 @@ def partition_slices(keys: np.ndarray,
     keys = np.asarray(keys, dtype=np.int64)
     if num_workers == 1:
         return keys, np.array([0, keys.size], dtype=np.int64)
-    worker = (mix64(keys) % np.uint64(num_workers)).astype(np.int64)
+    # Worker ids in the narrowest unsigned dtype that holds them: numpy's
+    # stable argsort radix-sorts 8- and 16-bit keys (same order, faster).
+    worker = (mix64(keys) % np.uint64(num_workers)).astype(
+        np.min_scalar_type(num_workers - 1))
     order = np.argsort(worker, kind="stable")
     counts = np.bincount(worker, minlength=num_workers)
     offsets = np.zeros(num_workers + 1, dtype=np.int64)
